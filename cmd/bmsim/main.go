@@ -24,10 +24,10 @@
 // -dump-spec prints the canonical spec JSON for the given flags (with its
 // content hash on stderr) without running, and -spec replays a spec file
 // ("-" reads stdin), guaranteeing the same result bytes as any other
-// runner of the same spec — including the bmserved job service.
+// runner of the same spec — including the bmserved sweep service.
 //
-// -json emits the same machine-readable schema the bmserved job server
-// returns (a service.JobResult with one cell), so scripts consume CLI
+// -json emits the same machine-readable schema the bmserved sweep server
+// returns (a service.SweepResult with one cell), so scripts consume CLI
 // and server output identically.
 package main
 
@@ -292,10 +292,10 @@ func runCheckpointed(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, fa
 	return s.Measure(ctx)
 }
 
-// printJSON emits a service.JobResult with one cell — the same schema
+// printJSON emits a service.SweepResult with one cell — the same schema
 // bmserved returns — built from the run that already happened (plus the
 // standalone ANTT runs when requested). The echoed request is the
-// canonical form, exactly as the server would echo it.
+// canonical one-spec sweep, exactly as the server would echo it.
 func printJSON(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, res sim.RunResult, opts sim.Options, factory sim.Factory) error {
 	cell := service.NewCellResult(rs.Scheme, res)
 	if rs.Options.ANTT {
@@ -305,18 +305,8 @@ func printJSON(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, res sim.
 		}
 		cell.ANTT = antt
 	}
-	req := service.JobRequest{
-		Mixes:   []string{rs.Mix},
-		Schemes: []string{rs.Scheme},
-		Seed:    rs.Seed,
-		Options: rs.Options,
-	}
-	if len(rs.Params) > 0 {
-		// Scheme params are only expressible in the spec request form.
-		req = service.JobRequest{Specs: []spec.RunSpec{rs}}
-	}
-	out := service.JobResult{
-		Request: req,
+	out := service.SweepResult{
+		Request: service.SweepRequest{Specs: []spec.RunSpec{rs}},
 		Cells:   []service.CellResult{cell},
 	}
 	b, err := json.MarshalIndent(out, "", "  ")

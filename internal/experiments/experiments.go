@@ -41,8 +41,7 @@ type Options struct {
 	// OnCell, when non-nil, is invoked once per completed cell with the
 	// cell's submission index, label and wall-clock duration. Cells finish
 	// on arbitrary workers but callbacks are serialized, so implementations
-	// need no locking of their own (internal/service drives SSE progress
-	// and telemetry from here).
+	// need no locking of their own.
 	OnCell func(index int, label string, d time.Duration)
 }
 
@@ -104,49 +103,32 @@ type Experiment struct {
 	Run func(context.Context, Options) (*stats.Table, error)
 }
 
-// Cell is one independent simulation unit: one (mix, scheme, options)
+// cell is one independent simulation unit: one (mix, scheme, options)
 // combination. Each cell builds its own scheme instance, generators and
-// statistics inside Run, so cells share no mutable state and may execute
-// on any worker in any order. The type is exported so other layers (the
-// job server in internal/service) fan work out with exactly the same
-// machinery and guarantees as the paper experiments.
-type Cell[T any] struct {
-	// Label identifies the cell in progress output ("Q7 bimodal").
-	Label string
-	// Run executes the cell. It must derive all randomness from its
+// statistics inside run, so cells share no mutable state and may execute
+// on any worker in any order.
+type cell[T any] struct {
+	// label identifies the cell in progress output ("Q7 bimodal").
+	label string
+	// run executes the cell. It must derive all randomness from its
 	// inputs, never from execution order, so results are deterministic at
 	// any worker count.
-	Run func(context.Context) (T, error)
+	run func(context.Context) (T, error)
 }
 
-// cell is the package-internal shorthand used by the experiment drivers.
-type cell[T any] struct {
-	label string
-	run   func(context.Context) (T, error)
-}
-
-// runCells adapts the internal cell shorthand onto RunCells.
-func runCells[T any](ctx context.Context, o Options, id string, cells []cell[T]) ([]T, error) {
-	pub := make([]Cell[T], len(cells))
-	for i, c := range cells {
-		pub[i] = Cell[T]{Label: c.label, Run: c.run}
-	}
-	return RunCells(ctx, o, id, pub)
-}
-
-// RunCells fans the cells out over the experiment engine's bounded worker
+// runCells fans the cells out over the experiment engine's bounded worker
 // pool (Options.Workers, default NumCPU) and collects their values in
 // submission order — the assembly that follows is then identical to what
 // a serial loop would have produced. One progress/timing line is emitted
 // per completed cell when Options.Progress is set, and Options.OnCell is
 // invoked (serialized) per completed cell.
-func RunCells[T any](ctx context.Context, o Options, id string, cells []Cell[T]) ([]T, error) {
+func runCells[T any](ctx context.Context, o Options, id string, cells []cell[T]) ([]T, error) {
 	n := &notifier{w: o.Progress, fn: o.OnCell, id: id, total: len(cells)}
 	return engine.Map(ctx, engine.Workers(o.Workers), len(cells), func(ctx context.Context, i int) (T, error) {
 		start := telemetry.Now() //bmlint:wallclock — per-cell progress timing only
-		v, err := cells[i].Run(ctx)
+		v, err := cells[i].run(ctx)
 		if err == nil {
-			n.cellDone(i, cells[i].Label, telemetry.Since(start)) //bmlint:wallclock
+			n.cellDone(i, cells[i].label, telemetry.Since(start)) //bmlint:wallclock
 		}
 		return v, err
 	})

@@ -22,20 +22,22 @@ import (
 //
 //	if errors.Is(err, service.ErrQueueFull) { backoff() }
 //
-// instead of matching status integers or message substrings. Servers
-// before the v1 redesign replied with text/plain bodies; the client keeps
-// one release of backward compatibility by inferring the code from the
-// HTTP status when the body is not an envelope.
+// instead of matching status integers or message substrings. Not every
+// non-2xx reply carries the envelope: http.ServeMux answers routes the
+// server does not serve with text/plain 404 and 405 bodies (every retired
+// endpoint of an earlier release gets one), and a proxy in front of the
+// server may answer with its own page. The client types those replies by
+// their HTTP status, so an old URL still surfaces as ErrNotFound.
 
 // ErrorCode is a typed, wire-stable API error code.
 type ErrorCode string
 
 const (
 	// CodeInvalidRequest rejects a malformed or unsatisfiable request
-	// (HTTP 400): bad JSON, unknown scheme or mix, mixed request forms,
-	// cell counts over the per-job bound.
+	// (HTTP 400): bad JSON, unknown fields, unknown scheme or mix, cell
+	// counts over the per-sweep bound.
 	CodeInvalidRequest ErrorCode = "invalid_request"
-	// CodeNotFound marks an unknown job, sweep or spec hash (HTTP 404).
+	// CodeNotFound marks an unknown sweep, spec hash or route (HTTP 404).
 	CodeNotFound ErrorCode = "not_found"
 	// CodeQueueFull signals back-pressure (HTTP 429): the bounded queue
 	// has no free slot. The response carries Retry-After and
@@ -80,8 +82,8 @@ func sentinelFor(code ErrorCode) error {
 	}
 }
 
-// codeForStatus infers an error code from a bare HTTP status — the
-// old-envelope (text/plain) compatibility path.
+// codeForStatus infers an error code from a bare HTTP status, for replies
+// that carry no envelope.
 func codeForStatus(status int) ErrorCode {
 	switch status {
 	case http.StatusBadRequest:
@@ -155,14 +157,15 @@ func writeQueueFull(w http.ResponseWriter, queueDepth int, retryAfter time.Durat
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	WriteError(w, http.StatusTooManyRequests, CodeQueueFull,
-		fmt.Sprintf("queue full (%d jobs waiting)", queueDepth),
+		fmt.Sprintf("queue full (%d sweeps waiting)", queueDepth),
 		map[string]any{"queue_depth": queueDepth, "retry_after_seconds": secs})
 }
 
 // DecodeAPIError turns a non-2xx reply into *APIError: the v1 envelope
-// when the body parses as one, otherwise the legacy text/plain body with
-// the code inferred from the status (one release of backward
-// compatibility with pre-v1 servers).
+// when the body parses as one, otherwise the raw body as the message with
+// the code inferred from the status. The second path is permanent, not a
+// migration shim: http.ServeMux's text/plain 404/405 replies for unknown
+// routes and methods never carry the envelope.
 func DecodeAPIError(status int, retryAfter string, body []byte) *APIError {
 	var env errorEnvelope
 	if err := json.Unmarshal(body, &env); err == nil && env.Error != nil && env.Error.Code != "" {

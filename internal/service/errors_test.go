@@ -10,46 +10,35 @@ import (
 	"time"
 )
 
-// TestLegacyEnvelopeCompat keeps one release of backward compatibility:
-// a pre-v1 server that replies with text/plain error bodies must still
-// surface as typed *APIError values, with the code inferred from the
-// HTTP status.
+// TestLegacyEnvelopeCompat sends old job URLs through the real handler.
+// http.ServeMux answers routes it does not serve with a text/plain 404,
+// not the v1 envelope, and the client must still surface that reply as a
+// typed *APIError matching ErrNotFound.
 func TestLegacyEnvelopeCompat(t *testing.T) {
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/jobs":
-			w.Header().Set("Retry-After", "7")
-			http.Error(w, "service: queue full (8 jobs pending)", http.StatusTooManyRequests)
-		case "/v1/jobs/job-000001":
-			http.Error(w, "service: unknown job job-000001", http.StatusNotFound)
-		default:
-			http.Error(w, "boom", http.StatusInternalServerError)
-		}
-	}))
-	defer hs.Close()
-	c := NewClient(hs.URL)
+	_, c := newTestServer(t, Config{})
 	ctx := context.Background()
-
-	_, err := c.Submit(ctx, JobRequest{})
-	var se *APIError
-	if !errors.As(err, &se) {
-		t.Fatalf("legacy 429: err = %T %v, want *APIError", err, err)
+	for _, tc := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPost, "/v1/jobs", SweepRequest{}},
+		{http.MethodGet, "/v1/jobs", nil},
+		{http.MethodGet, "/v1/jobs/job-000001", nil},
+	} {
+		err := c.do(ctx, tc.method, tc.path, tc.body, nil)
+		var se *APIError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s %s: err = %T %v, want *APIError", tc.method, tc.path, err, err)
+		}
+		if !errors.Is(err, ErrNotFound) || se.Status != http.StatusNotFound {
+			t.Errorf("%s %s: status %d code %s, want 404 not_found", tc.method, tc.path, se.Status, se.Code)
+		}
+		if se.Message == "" {
+			t.Errorf("%s %s: empty message, want the plain-text body", tc.method, tc.path)
+		}
 	}
-	if !errors.Is(err, ErrQueueFull) || se.Code != CodeQueueFull {
-		t.Errorf("legacy 429 code = %s, want queue_full", se.Code)
-	}
-	if se.Message != "service: queue full (8 jobs pending)" {
-		t.Errorf("legacy 429 message = %q, want the raw body", se.Message)
-	}
-	if se.RetryAfter != 7*time.Second {
-		t.Errorf("legacy 429 Retry-After = %v, want 7s", se.RetryAfter)
-	}
-
-	if _, err := c.Job(ctx, "job-000001"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("legacy 404: err = %v, want ErrNotFound", err)
-	}
-	if _, err := c.Job(ctx, "job-000002"); !errors.Is(err, ErrInternal) {
-		t.Errorf("legacy 500: err = %v, want ErrInternal", err)
+	if err := c.follow(ctx, "/v1/jobs/job-000001/events", nil); !errors.Is(err, ErrNotFound) {
+		t.Errorf("old event stream: err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -62,6 +51,10 @@ func TestDecodeAPIError(t *testing.T) {
 	}
 	if d, ok := se.Details["queue_depth"].(float64); !ok || d != 4 {
 		t.Errorf("details = %v, want queue_depth 4", se.Details)
+	}
+	se = DecodeAPIError(429, "7", []byte("queue full (8 pending)"))
+	if !errors.Is(se, ErrQueueFull) || se.Message != "queue full (8 pending)" || se.RetryAfter != 7*time.Second {
+		t.Errorf("plain 429 = %+v, want queue_full with the raw body and a 7s hint", se)
 	}
 	se = DecodeAPIError(503, "", []byte("service: draining"))
 	if se.Code != CodeDraining || !errors.Is(se, ErrDraining) {
@@ -103,15 +96,15 @@ func TestSubmitRetry(t *testing.T) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"id":"job-000001","state":"queued"}`))
+		_, _ = w.Write([]byte(`{"id":"sweep-000001","state":"queued"}`))
 	}))
 	defer hs.Close()
 	c := NewClient(hs.URL)
 	b := Backoff{Attempts: 4, Base: time.Millisecond, Cap: 2 * time.Millisecond}
 
-	st, err := c.SubmitRetry(context.Background(), JobRequest{}, b)
-	if err != nil || st.ID != "job-000001" {
-		t.Fatalf("SubmitRetry = %+v, %v; want job-000001 after backoff", st, err)
+	st, err := c.SubmitSweepRetry(context.Background(), SweepRequest{}, b)
+	if err != nil || st.ID != "sweep-000001" {
+		t.Fatalf("SubmitSweepRetry = %+v, %v; want sweep-000001 after backoff", st, err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("server saw %d submissions, want 3 (two rejected)", got)
@@ -119,7 +112,7 @@ func TestSubmitRetry(t *testing.T) {
 
 	// Exhaustion surfaces the final queue_full error.
 	calls.Store(-100)
-	if _, err := c.SubmitRetry(context.Background(), JobRequest{}, b); !errors.Is(err, ErrQueueFull) {
+	if _, err := c.SubmitSweepRetry(context.Background(), SweepRequest{}, b); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("exhausted retry err = %v, want ErrQueueFull", err)
 	}
 	if got := calls.Load(); got != -96 {
@@ -130,7 +123,7 @@ func TestSubmitRetry(t *testing.T) {
 	calls.Store(-100)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.SubmitRetry(ctx, JobRequest{}, Backoff{Attempts: 3, Base: time.Minute}); !errors.Is(err, context.Canceled) {
+	if _, err := c.SubmitSweepRetry(ctx, SweepRequest{}, Backoff{Attempts: 3, Base: time.Minute}); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled retry err = %v, want context.Canceled", err)
 	}
 }

@@ -13,13 +13,17 @@ import (
 	"bimodal/internal/spec"
 )
 
-// tinySweep is a fast deterministic 2x2 sweep.
+// tinySweep is a fast deterministic 2x2 sweep, mixes outermost.
 func tinySweep() SweepRequest {
+	o := spec.Options{AccessesPerCore: 1200, CacheDivisor: 64}
 	return SweepRequest{
-		Mixes:   []string{"Q1", "Q7"},
-		Schemes: []string{"alloy", "bimodal"},
-		Options: RunOptions{AccessesPerCore: 1200, CacheDivisor: 64},
-		Seed:    5,
+		Specs: []spec.RunSpec{
+			{Scheme: "alloy", Mix: "Q1", Options: o},
+			{Scheme: "bimodal", Mix: "Q1", Options: o},
+			{Scheme: "alloy", Mix: "Q7", Options: o},
+			{Scheme: "bimodal", Mix: "Q7", Options: o},
+		},
+		Seed: 5,
 	}
 }
 
@@ -64,7 +68,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	if len(view.Cells) != 4 {
 		t.Fatalf("merged result has %d cells, want 4", len(view.Cells))
 	}
-	if view.Request.Seed != 5 || len(view.Request.Mixes) != 2 {
+	if view.Request.Seed != 0 || len(view.Request.Specs) != 4 || view.Request.Specs[3].Seed != 5 {
 		t.Errorf("request echo not canonical: %+v", view.Request)
 	}
 
@@ -114,7 +118,7 @@ func TestSweepSpecEndpoints(t *testing.T) {
 
 	req := SweepRequest{
 		Specs: []spec.RunSpec{{Scheme: "cometa", Mix: "Q1",
-			Options: RunOptions{AccessesPerCore: 1000, CacheDivisor: 64}}},
+			Options: spec.Options{AccessesPerCore: 1000, CacheDivisor: 64}}},
 		Seed: 3,
 	}
 	st, err := c.SubmitSweep(ctx, req)
@@ -179,34 +183,31 @@ func TestSweepSpecEndpoints(t *testing.T) {
 	}
 }
 
-// TestSweepValidation exercises the 400 envelope on malformed sweeps.
+// TestSweepValidation exercises the 400 envelope on malformed sweep
+// bodies: the retired mixes × schemes form and broken JSON.
 func TestSweepValidation(t *testing.T) {
-	_, c := newTestServer(t, Config{MaxSweepCells: 2})
-	ctx := context.Background()
+	_, c := newTestServer(t, Config{})
 	cases := []struct {
-		name string
-		req  SweepRequest
-		want string
+		name, body, want string
 	}{
-		{"mixed forms", SweepRequest{Specs: []spec.RunSpec{{Scheme: "bimodal", Mix: "Q1"}},
-			Mixes: []string{"Q1"}}, "mutually exclusive"},
-		{"no schemes", SweepRequest{Mixes: []string{"Q1"}}, "at least one scheme"},
-		{"too many cells", SweepRequest{Mixes: []string{"Q1", "Q2", "Q3"},
-			Schemes: []string{"alloy"}}, "per-job limit"},
+		{"cross-product form", `{"mixes":["Q1"],"schemes":["alloy"]}`, `unknown field "mixes"`},
+		{"request options", `{"specs":[{"scheme":"alloy","mix":"Q1"}],"options":{}}`, `unknown field "options"`},
+		{"broken JSON", `{"specs":[`, "decoding request"},
 	}
 	for _, tc := range cases {
-		_, err := c.SubmitSweep(ctx, tc.req)
-		var se *APIError
-		if !errors.As(err, &se) || !errors.Is(err, ErrInvalidRequest) {
-			t.Errorf("%s: err = %v, want invalid_request", tc.name, err)
+		resp, err := http.Post(c.base+"/v1/sweeps", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		se := readAPIError(resp)
+		resp.Body.Close()
+		if se.Status != http.StatusBadRequest || !errors.Is(se, ErrInvalidRequest) {
+			t.Errorf("%s: %+v, want 400 invalid_request", tc.name, se)
 			continue
 		}
 		if !strings.Contains(se.Message, tc.want) {
 			t.Errorf("%s: message %q missing %q", tc.name, se.Message, tc.want)
 		}
-	}
-	if _, err := c.Sweep(ctx, "sweep-999999"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unknown sweep: err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -240,23 +241,15 @@ func TestSweepSSE(t *testing.T) {
 	}
 }
 
-// TestListPagination pages through the job listing with limits, cursors
-// and a state filter.
+// TestListPagination pages through the sweep listing with limits,
+// cursors and a state filter.
 func TestListPagination(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
-	req := JobRequest{Mixes: []string{"Q1"}, Schemes: []string{"alloy"},
-		Options: RunOptions{AccessesPerCore: 800, CacheDivisor: 64}}
+	req := cellRequest("alloy", "Q1", spec.Options{AccessesPerCore: 800, CacheDivisor: 64}, 0)
 	var ids []string
 	for i := 0; i < 5; i++ {
-		st, err := c.Submit(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, st.ID)
-		if _, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
+		ids = append(ids, mustSweep(ctx, t, c, req).ID)
 	}
 
 	var paged []string
@@ -265,26 +258,26 @@ func TestListPagination(t *testing.T) {
 		if pages > 3 {
 			t.Fatal("pagination did not terminate")
 		}
-		list, err := c.Jobs(ctx, q)
+		list, err := c.Sweeps(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range list.Jobs {
+		for _, st := range list.Sweeps {
 			paged = append(paged, st.ID)
 		}
 		if list.NextCursor == "" {
 			break
 		}
-		if len(list.Jobs) != 2 {
-			t.Fatalf("non-terminal page holds %d jobs, want 2", len(list.Jobs))
+		if len(list.Sweeps) != 2 {
+			t.Fatalf("non-terminal page holds %d sweeps, want 2", len(list.Sweeps))
 		}
-		if list.NextCursor != list.Jobs[len(list.Jobs)-1].ID {
-			t.Fatalf("next_cursor = %q, want last page ID %q", list.NextCursor, list.Jobs[1].ID)
+		if list.NextCursor != list.Sweeps[len(list.Sweeps)-1].ID {
+			t.Fatalf("next_cursor = %q, want last page ID %q", list.NextCursor, list.Sweeps[1].ID)
 		}
 		q.Cursor = list.NextCursor
 	}
 	if len(paged) != 5 {
-		t.Fatalf("paged %d jobs, want 5: %v", len(paged), paged)
+		t.Fatalf("paged %d sweeps, want 5: %v", len(paged), paged)
 	}
 	for i, id := range paged {
 		if id != ids[i] {
@@ -292,21 +285,21 @@ func TestListPagination(t *testing.T) {
 		}
 	}
 
-	// State filter: all jobs completed, so filtering on queued is empty.
-	list, err := c.Jobs(ctx, ListQuery{State: StateCompleted})
-	if err != nil || len(list.Jobs) != 5 {
-		t.Errorf("state=completed listed %d jobs (%v), want 5", len(list.Jobs), err)
+	// State filter: all sweeps completed, so filtering on queued is empty.
+	list, err := c.Sweeps(ctx, ListQuery{State: StateCompleted})
+	if err != nil || len(list.Sweeps) != 5 {
+		t.Errorf("state=completed listed %d sweeps (%v), want 5", len(list.Sweeps), err)
 	}
-	list, err = c.Jobs(ctx, ListQuery{State: StateQueued})
-	if err != nil || len(list.Jobs) != 0 {
-		t.Errorf("state=queued listed %d jobs (%v), want 0", len(list.Jobs), err)
+	list, err = c.Sweeps(ctx, ListQuery{State: StateQueued})
+	if err != nil || len(list.Sweeps) != 0 {
+		t.Errorf("state=queued listed %d sweeps (%v), want 0", len(list.Sweeps), err)
 	}
 
 	// Malformed parameters produce the typed envelope.
-	if _, err := c.Jobs(ctx, ListQuery{Cursor: "job-424242"}); !errors.Is(err, ErrInvalidRequest) {
+	if _, err := c.Sweeps(ctx, ListQuery{Cursor: "sweep-424242"}); !errors.Is(err, ErrInvalidRequest) {
 		t.Errorf("unknown cursor: err = %v, want ErrInvalidRequest", err)
 	}
-	resp, err := http.Get(c.base + "/v1/jobs?state=bogus")
+	resp, err := http.Get(c.base + "/v1/sweeps?state=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}

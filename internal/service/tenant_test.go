@@ -10,10 +10,10 @@ import (
 	"bimodal/internal/spec"
 )
 
-// tenantSpecRequest is a one-cell declarative workload job: four kvstore
-// tenants with a shared hot region, the CI smoke shape.
-func tenantSpecRequest() JobRequest {
-	return JobRequest{
+// tenantSpecRequest is a one-cell declarative workload sweep: four
+// kvstore tenants with a shared hot region, the CI smoke shape.
+func tenantSpecRequest() SweepRequest {
+	return SweepRequest{
 		Specs: []spec.RunSpec{{
 			Scheme: "bimodal",
 			Workload: &spec.WorkloadSpec{
@@ -23,7 +23,7 @@ func tenantSpecRequest() JobRequest {
 				},
 				SharedPct: 10,
 			},
-			Options: RunOptions{AccessesPerCore: 1500, CacheDivisor: 64},
+			Options: spec.Options{AccessesPerCore: 1500, CacheDivisor: 64},
 			Seed:    7,
 		}},
 	}
@@ -31,31 +31,22 @@ func tenantSpecRequest() JobRequest {
 
 // TestWorkloadSpecJob is the end-to-end acceptance test for declarative
 // workloads: a 4-tenant spec must run, attribute the cell to each tenant
-// in the result JSON, and hit the memoization cache on resubmission with
+// in the result JSON, and be served from the store on resubmission with
 // byte-identical bytes.
 func TestWorkloadSpecJob(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	st, err := c.Submit(ctx, tenantSpecRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SpecHash == "" {
-		t.Fatal("workload job carries no spec hash")
-	}
-	if st, err = c.Wait(ctx, st.ID, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateCompleted {
-		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	st := mustSweep(ctx, t, c, tenantSpecRequest())
+	if len(st.SpecHashes) != 1 || st.SpecHashes[0] == "" {
+		t.Fatalf("workload sweep carries no spec hash: %v", st.SpecHashes)
 	}
 	if !bytes.Contains(st.Result, []byte(`"per_tenant"`)) || !bytes.Contains(st.Result, []byte(`"tenant_antt"`)) {
 		t.Fatalf("result JSON lacks per-tenant attribution:\n%s", st.Result)
 	}
 
-	var res JobResult
+	var res SweepResult
 	if err := json.Unmarshal(st.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +81,7 @@ func TestWorkloadSpecJob(t *testing.T) {
 		t.Error("no tenant is the best-served (slowdown exactly 1)")
 	}
 	// The echoed request must carry the canonicalized workload (defaults
-	// resolved), so re-running the echo reproduces the job.
+	// resolved), so re-running the echo reproduces the sweep.
 	if len(res.Request.Specs) != 1 || res.Request.Specs[0].Workload == nil {
 		t.Fatalf("echoed request lost the workload: %+v", res.Request)
 	}
@@ -99,51 +90,39 @@ func TestWorkloadSpecJob(t *testing.T) {
 	}
 
 	// Memoization round-trip: the same workload geometry must be served
-	// from the cache, byte-identical, without re-simulating.
+	// from the store, byte-identical, without re-simulating.
 	metrics, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cellsBefore := metricValue(t, metrics, "bimodal_cell_seconds_count")
 
-	st2, err := c.Submit(ctx, tenantSpecRequest())
-	if err != nil {
-		t.Fatal(err)
+	st2 := mustSweep(ctx, t, c, tenantSpecRequest())
+	if st2.StoreHits != 1 {
+		t.Fatalf("resubmission not served from the store: %d store hits", st2.StoreHits)
 	}
-	if st2.State != StateCompleted {
-		t.Fatalf("resubmission not served from cache: state %s", st2.State)
+	if st2.SpecHashes[0] != st.SpecHashes[0] {
+		t.Fatalf("workload spec hash unstable: %s vs %s", st2.SpecHashes[0], st.SpecHashes[0])
 	}
-	if st2.SpecHash != st.SpecHash {
-		t.Fatalf("workload spec hash unstable: %s vs %s", st2.SpecHash, st.SpecHash)
-	}
-	full, err := c.Job(ctx, st2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(full.Result, st.Result) {
-		t.Error("cached workload result differs from the original run")
+	if !bytes.Equal(st2.Result, st.Result) {
+		t.Error("store-served workload result differs from the original run")
 	}
 	metrics, err = c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cellsAfter := metricValue(t, metrics, "bimodal_cell_seconds_count"); cellsAfter != cellsBefore {
-		t.Errorf("cell count moved %d -> %d: the cached workload job re-simulated", cellsBefore, cellsAfter)
+		t.Errorf("cell count moved %d -> %d: the store-served workload sweep re-simulated", cellsBefore, cellsAfter)
 	}
 
 	// A geometry change is a different simulation: it must miss and must
 	// produce a different spec hash.
 	req := tenantSpecRequest()
 	req.Specs[0].Workload.SharedPct = 20
-	st3, err := c.Submit(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.SpecHash == st.SpecHash {
-		t.Error("changed geometry shares a spec hash")
-	}
-	if _, err := c.Wait(ctx, st3.ID, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
+	st3 := mustSweep(ctx, t, c, req)
+	if st3.SpecHashes[0] == st.SpecHashes[0] || st3.StoreHits != 0 {
+		t.Errorf("changed geometry shares a spec hash or hit the store: %s, %d store hits",
+			st3.SpecHashes[0], st3.StoreHits)
 	}
 }
 
@@ -155,21 +134,8 @@ func TestSingleTenantCellOmitsTenantFields(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	st, err := c.Submit(ctx, JobRequest{
-		Mixes:   []string{"Q1"},
-		Schemes: []string{"alloy"},
-		Options: RunOptions{AccessesPerCore: 1000, CacheDivisor: 64},
-		Seed:    3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err = c.Wait(ctx, st.ID, 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateCompleted {
-		t.Fatalf("job ended %s: %s", st.State, st.Error)
-	}
+	st := mustSweep(ctx, t, c, cellRequest("alloy", "Q1",
+		spec.Options{AccessesPerCore: 1000, CacheDivisor: 64}, 3))
 	if bytes.Contains(st.Result, []byte("per_tenant")) || bytes.Contains(st.Result, []byte("tenant_antt")) {
 		t.Errorf("single-tenant result grew tenant fields:\n%s", st.Result)
 	}

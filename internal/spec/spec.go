@@ -106,9 +106,9 @@ func (p Params) Get(key string, def int64) int64 {
 	return def
 }
 
-// Options are the run-scaling knobs of a spec. The field set and JSON
-// tags are shared with the service wire schema (service.RunOptions is an
-// alias of this type). Worker counts are deliberately absent: they never
+// Options are the run-scaling knobs of a spec, and the only form the
+// service wire schema knows them in (every spec of a sweep request carries
+// its own). Worker counts are deliberately absent: they never
 // affect results, so they must never affect the hash.
 type Options struct {
 	// AccessesPerCore is the per-core replay quota; 0 means
@@ -241,17 +241,6 @@ func (s RunSpec) Hash() (string, error) {
 func HashBytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return "sha256:" + hex.EncodeToString(sum[:])
-}
-
-// HashJSON marshals v (which must already be in canonical form) and
-// returns its content hash. The service uses this to hash whole canonical
-// job requests with the same format as RunSpec.Hash.
-func HashJSON(v any) (string, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return "", err
-	}
-	return HashBytes(b), nil
 }
 
 // Parse decodes a RunSpec from JSON, rejecting unknown fields and
