@@ -23,14 +23,13 @@
 //	res := bimodal.RunBiModal(mix, opts)
 //	fmt.Println(res.Report.HitRate(), res.Report.AvgLatency())
 //
-// Schemes are identified by the typed SchemeID constants (SchemeBiModal,
-// SchemeAlloy, ...); ParseScheme converts CLI-style names. Long runs take
-// the context-aware entry points, which stop within a few thousand
-// simulated accesses of cancellation:
+// Schemes are named as on the command line ("bimodal", "alloy", ...; see
+// SchemeNames). Long runs take the context-aware entry points, which stop
+// within a few thousand simulated accesses of cancellation:
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 //	defer cancel()
-//	res, err := bimodal.RunSchemeContext(ctx, bimodal.SchemeAlloy, mix, opts)
+//	res, err := bimodal.RunSchemeContext(ctx, "alloy", mix, opts)
 //
 // Simulation results are a pure function of (mix, scheme, Options) — never
 // of timing, worker counts or cancellation — so concurrent sweeps over
@@ -43,6 +42,7 @@ import (
 
 	"bimodal/internal/dramcache"
 	"bimodal/internal/sim"
+	"bimodal/internal/spec"
 	"bimodal/internal/workloads"
 )
 
@@ -55,30 +55,8 @@ type RunResult = sim.RunResult
 // Mix aliases workloads.Mix.
 type Mix = workloads.Mix
 
-// SchemeID identifies a DRAM cache scheme; it aliases sim.SchemeID. Use
-// the Scheme* constants or ParseScheme — the typed IDs replace
-// stringly-typed scheme names in library code.
-type SchemeID = sim.SchemeID
-
-// Typed scheme identifiers in the paper's comparison order.
-const (
-	SchemeBiModal       = sim.SchemeBiModal
-	SchemeBiModalOnly   = sim.SchemeBiModalOnly
-	SchemeWLOnly        = sim.SchemeWLOnly
-	SchemeBiModalCoMeta = sim.SchemeBiModalCoMeta
-	SchemeBiModalBypass = sim.SchemeBiModalBypass
-	SchemeAlloy         = sim.SchemeAlloy
-	SchemeLohHill       = sim.SchemeLohHill
-	SchemeATCache       = sim.SchemeATCache
-	SchemeFootprint     = sim.SchemeFootprint
-)
-
-// ParseScheme resolves a scheme name ("bimodal", "alloy", ...) to its
-// typed ID.
-func ParseScheme(name string) (SchemeID, error) { return sim.ParseScheme(name) }
-
-// SchemeNames lists every scheme name in comparison order.
-func SchemeNames() []string { return sim.SchemeNames() }
+// SchemeNames lists every canonical scheme name in comparison order.
+func SchemeNames() []string { return spec.Names() }
 
 // WorkloadByName returns a named workload mix (Q1..Q24, E1..E16, S1..S8),
 // or an error for unknown names.
@@ -92,54 +70,61 @@ func Workload(name string) Mix { return workloads.MustByName(name) }
 // Workloads returns the mix table for a core count (4, 8 or 16).
 func Workloads(cores int) ([]Mix, error) { return workloads.ForCores(cores) }
 
+// factoryFor returns the factory every entry point below runs the named
+// scheme with: the spec layer's, the same one cmd/bmsim, the service and
+// the figures use. Plain "bimodal" is therefore always scaled to the run
+// length; presets build with their paper defaults. Only the run length of
+// o and the core count of mix shape it, so any mix is accepted.
+func factoryFor(name string, mix Mix, o Options) (sim.Factory, error) {
+	rs := spec.RunSpec{Scheme: name, Options: spec.Options{AccessesPerCore: o.AccessesPerCore}}
+	return sim.FactoryForSpec(rs, mix.Cores())
+}
+
 // RunBiModal runs the mix on the paper's Bi-Modal cache with run-length
-// scaled adaptation parameters.
+// scaled adaptation parameters. It panics on invalid options (a negative
+// AccessesPerCore).
 func RunBiModal(mix Mix, o Options) RunResult {
-	return sim.Run(mix, sim.BiModalFactory(mix.Cores(), o), o)
+	res, err := RunScheme("bimodal", mix, o)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // RunBiModalContext is RunBiModal with cancellation: when ctx ends
 // mid-run the simulation stops promptly and ctx.Err() is returned.
 func RunBiModalContext(ctx context.Context, mix Mix, o Options) (RunResult, error) {
-	return sim.RunContext(ctx, mix, sim.BiModalFactory(mix.Cores(), o), o)
+	return RunSchemeContext(ctx, "bimodal", mix, o)
 }
 
-// RunScheme runs the mix on a named scheme (see SchemeNames). Prefer
-// RunSchemeContext with a typed SchemeID in library code.
+// RunScheme runs the mix on a named scheme (see SchemeNames).
 func RunScheme(name string, mix Mix, o Options) (RunResult, error) {
-	id, err := sim.ParseScheme(name)
+	return RunSchemeContext(context.Background(), name, mix, o)
+}
+
+// RunSchemeContext runs the mix on a named scheme with cancellation.
+func RunSchemeContext(ctx context.Context, name string, mix Mix, o Options) (RunResult, error) {
+	f, err := factoryFor(name, mix, o)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return sim.Run(mix, id.Factory(), o), nil
-}
-
-// RunSchemeContext runs the mix on a scheme with cancellation. Invalid
-// IDs (from casting rather than ParseScheme) panic.
-func RunSchemeContext(ctx context.Context, id SchemeID, mix Mix, o Options) (RunResult, error) {
-	return sim.RunContext(ctx, mix, id.Factory(), o)
+	return sim.RunContext(ctx, mix, f, o)
 }
 
 // ANTT runs the mix multiprogrammed and standalone on a named scheme and
 // returns the Average Normalized Turnaround Time (lower is better).
 func ANTT(name string, mix Mix, o Options) (float64, error) {
-	id, err := sim.ParseScheme(name)
-	if err != nil {
-		return 0, err
-	}
-	antt, _, err := ANTTContext(context.Background(), id, mix, o)
+	antt, _, err := ANTTContext(context.Background(), name, mix, o)
 	return antt, err
 }
 
-// ANTTContext computes ANTT on a typed scheme with cancellation; the
+// ANTTContext computes ANTT on a named scheme with cancellation; the
 // standalone baseline runs fan out over o.Workers goroutines. It also
 // returns the multiprogrammed result.
-func ANTTContext(ctx context.Context, id SchemeID, mix Mix, o Options) (float64, RunResult, error) {
-	var f sim.Factory
-	if id == sim.SchemeBiModal {
-		f = sim.BiModalFactory(mix.Cores(), o)
-	} else {
-		f = id.Factory()
+func ANTTContext(ctx context.Context, name string, mix Mix, o Options) (float64, RunResult, error) {
+	f, err := factoryFor(name, mix, o)
+	if err != nil {
+		return 0, RunResult{}, err
 	}
 	return sim.ANTTContext(ctx, mix, f, o)
 }

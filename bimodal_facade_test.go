@@ -74,22 +74,70 @@ func TestWorkloadByName(t *testing.T) {
 	}
 }
 
-func TestParseSchemeFacade(t *testing.T) {
-	id, err := bimodal.ParseScheme("atcache")
-	if err != nil || id != bimodal.SchemeATCache {
-		t.Errorf("ParseScheme(atcache) = %v, %v", id, err)
-	}
-	if _, err := bimodal.ParseScheme("bogus"); err == nil {
-		t.Error("ParseScheme accepted an unknown name")
-	}
+func TestSchemeNamesFacade(t *testing.T) {
 	names := bimodal.SchemeNames()
 	if len(names) != 9 {
 		t.Errorf("SchemeNames() has %d entries, want 9", len(names))
 	}
+	// Every listed name runs, and so do aliases.
+	o := bimodal.Options{AccessesPerCore: 200, CacheDivisor: 64, Seed: 1}
+	for _, name := range append(names, "cometa") {
+		if _, err := bimodal.RunScheme(name, bimodal.Workload("Q1"), o); err != nil {
+			t.Errorf("RunScheme(%q): %v", name, err)
+		}
+	}
+}
+
+// TestFacadeBiModalEntryPointsAgree checks every entry point that can run
+// plain "bimodal" builds it the same way: scaled to the run length, as
+// cmd/bmsim, the service and the figures do. At 40k accesses per core the
+// scaled and paper-default builds report different hit rates, so an entry
+// point that skipped the scaling would stand out.
+func TestFacadeBiModalEntryPointsAgree(t *testing.T) {
+	mix := bimodal.Workload("Q7")
+	o := bimodal.Options{AccessesPerCore: 40_000, CacheDivisor: 4, Seed: 1, Workers: runtime.NumCPU()}
+	ctx := context.Background()
+	want := bimodal.RunBiModal(mix, o).Report
+	named, err := bimodal.RunScheme("bimodal", mix, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCtx, err := bimodal.RunSchemeContext(ctx, "bimodal", mix, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, multi, err := bimodal.ANTTContext(ctx, "bimodal", mix, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, got := range map[string]bimodal.RunResult{
+		"RunScheme":        named,
+		"RunSchemeContext": withCtx,
+		"ANTTContext":      multi,
+	} {
+		if !reflect.DeepEqual(got.Report, want) {
+			t.Errorf("%s(bimodal) report differs from RunBiModal:\ngot  hit %.4f latency %.1f\nwant hit %.4f latency %.1f",
+				label, got.Report.HitRate(), got.Report.AvgLatency(), want.HitRate(), want.AvgLatency())
+		}
+	}
+}
+
+// TestFacadeAcceptsUnregisteredMix checks the name-based entry points take
+// any mix, not only the registered tables: the factory needs just the
+// core count.
+func TestFacadeAcceptsUnregisteredMix(t *testing.T) {
+	mix := bimodal.Workload("Q1")
+	mix.Name = ""
+	if _, err := bimodal.RunScheme("alloy", mix, facadeOptions()); err != nil {
+		t.Errorf("RunScheme on an unnamed mix: %v", err)
+	}
+	if res := bimodal.RunBiModal(mix, facadeOptions()); res.Report.Accesses == 0 {
+		t.Error("RunBiModal on an unnamed mix ran nothing")
+	}
 }
 
 func TestRunSchemeContextFacade(t *testing.T) {
-	res, err := bimodal.RunSchemeContext(context.Background(), bimodal.SchemeAlloy,
+	res, err := bimodal.RunSchemeContext(context.Background(), "alloy",
 		bimodal.Workload("Q13"), facadeOptions())
 	if err != nil || res.Report.Scheme != "AlloyCache" {
 		t.Errorf("RunSchemeContext: %v %v", res.Report.Scheme, err)
@@ -124,7 +172,7 @@ func TestANTTContextFacade(t *testing.T) {
 	mix := bimodal.Workload("Q13")
 	o := facadeOptions()
 	o.Workers = runtime.NumCPU()
-	antt, multi, err := bimodal.ANTTContext(context.Background(), bimodal.SchemeBiModal, mix, o)
+	antt, multi, err := bimodal.ANTTContext(context.Background(), "bimodal", mix, o)
 	if err != nil || antt <= 0 || multi.Report.Scheme != "BiModal" {
 		t.Errorf("ANTTContext: antt %v, scheme %v, err %v", antt, multi.Report.Scheme, err)
 	}

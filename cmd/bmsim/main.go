@@ -99,7 +99,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bmsim:", perr)
 		os.Exit(1)
 	}
-	err = run(ctx, rs, *workers, *jsonOut, *checkpoint, *restoreF)
+	err = run(ctx, os.Stdout, rs, *workers, *jsonOut, *checkpoint, *restoreF)
 	// Flush profiles before any exit path: failed or interrupted runs are
 	// the ones most worth profiling.
 	stopCPU()
@@ -184,7 +184,10 @@ func printSpec(rs spec.RunSpec) error {
 	return nil
 }
 
-func run(ctx context.Context, rs spec.RunSpec, workers int, jsonOut bool, checkpoint, restore string) error {
+// run simulates the canonical spec and writes its report to w. An ANTT
+// spec runs the multiprogrammed simulation once, inside sim.ANTTContext,
+// and reports that run.
+func run(ctx context.Context, w io.Writer, rs spec.RunSpec, workers int, jsonOut bool, checkpoint, restore string) error {
 	mix, err := workloads.MixForSpec(rs)
 	if err != nil {
 		return err
@@ -196,21 +199,29 @@ func run(ctx context.Context, rs spec.RunSpec, workers int, jsonOut bool, checkp
 	opts := sim.OptionsForSpec(rs)
 	opts.Workers = engine.Workers(workers)
 
-	var res sim.RunResult
-	if checkpoint != "" || restore != "" {
+	start := time.Now()
+	var (
+		res  sim.RunResult
+		antt float64
+	)
+	switch {
+	case checkpoint != "" || restore != "":
 		res, err = runCheckpointed(ctx, rs, mix, factory, opts, checkpoint, restore)
-	} else {
+	case rs.Options.ANTT:
+		antt, res, err = sim.ANTTContext(ctx, mix, factory, opts)
+	default:
 		res, err = sim.RunContext(ctx, mix, factory, opts)
 	}
 	if err != nil {
 		return err
 	}
-	r := res.Report
+	elapsed := time.Since(start)
 
 	if jsonOut {
-		return printJSON(ctx, rs, mix, res, opts, factory)
+		return printJSON(w, rs, res, antt)
 	}
 
+	r := res.Report
 	hash, err := rs.Hash()
 	if err != nil {
 		return err
@@ -234,22 +245,17 @@ func run(ctx context.Context, rs spec.RunSpec, workers int, jsonOut bool, checkp
 	tbl.AddRow("stacked row-buffer hit rate", stats.FmtPct(r.Stacked.RowHitRate()))
 	tbl.AddRow("energy per access", fmt.Sprintf("%.1f nJ", energy.PerAccess(res.Energy, r.Accesses)))
 	tbl.AddRow("spec hash", hash)
-	fmt.Print(tbl)
+	fmt.Fprint(w, tbl)
 
 	per := stats.NewTable("per-core results", "core", "benchmark", "cycles", "IPC", "hit rate")
 	for _, c := range res.PerCore {
 		per.AddRow(fmt.Sprint(c.Core), c.Benchmark, fmt.Sprint(c.Cycles),
 			fmt.Sprintf("%.3f", c.IPC()), stats.FmtPct(stats.Ratio(c.Hits, c.Accesses)))
 	}
-	fmt.Print(per)
+	fmt.Fprint(w, per)
 
 	if rs.Options.ANTT {
-		start := time.Now()
-		antt, _, err := sim.ANTTContext(ctx, mix, factory, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("ANTT = %.3f (lower is better, computed in %s)\n", antt, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "ANTT = %.3f (lower is better, computed in %s)\n", antt, elapsed.Round(time.Millisecond))
 	}
 	return nil
 }
@@ -292,19 +298,13 @@ func runCheckpointed(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, fa
 	return s.Measure(ctx)
 }
 
-// printJSON emits a service.SweepResult with one cell — the same schema
-// bmserved returns — built from the run that already happened (plus the
-// standalone ANTT runs when requested). The echoed request is the
-// canonical one-spec sweep, exactly as the server would echo it.
-func printJSON(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, res sim.RunResult, opts sim.Options, factory sim.Factory) error {
+// printJSON writes a service.SweepResult with one cell — the same schema
+// bmserved returns — built from the run that already happened. The echoed
+// request is the canonical one-spec sweep, exactly as the server would
+// echo it.
+func printJSON(w io.Writer, rs spec.RunSpec, res sim.RunResult, antt float64) error {
 	cell := service.NewCellResult(rs.Scheme, res)
-	if rs.Options.ANTT {
-		antt, _, err := sim.ANTTContext(ctx, mix, factory, opts)
-		if err != nil {
-			return err
-		}
-		cell.ANTT = antt
-	}
+	cell.ANTT = antt
 	out := service.SweepResult{
 		Request: service.SweepRequest{Specs: []spec.RunSpec{rs}},
 		Cells:   []service.CellResult{cell},
@@ -313,6 +313,6 @@ func printJSON(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, res sim.
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(b))
-	return nil
+	_, err = fmt.Fprintln(w, string(b))
+	return err
 }

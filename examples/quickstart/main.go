@@ -7,28 +7,30 @@ package main
 import (
 	"fmt"
 
+	"bimodal"
 	"bimodal/internal/dramcache"
-	"bimodal/internal/sim"
 	"bimodal/internal/stats"
-	"bimodal/internal/workloads"
 )
 
 func main() {
 	// Q7 is one of the paper's irregular mixes: mcf, art, twolf, omnetpp.
-	mix := workloads.MustByName("Q7")
+	mix := bimodal.Workload("Q7")
 
-	opts := sim.Options{
+	opts := bimodal.Options{
 		AccessesPerCore: 100_000,
 		CacheDivisor:    4, // scale capacity to the replay length
 		Seed:            1,
 	}
 
 	// Run the paper's proposal and its baseline side by side.
-	bimodal := sim.Run(mix, sim.BiModalFactory(mix.Cores(), opts), opts)
-	alloy := sim.Run(mix, mustFactory("alloy"), opts)
+	bm := bimodal.RunBiModal(mix, opts)
+	alloy, err := bimodal.RunScheme("alloy", mix, opts)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("workload %s (%d cores)\n\n", mix.Name, mix.Cores())
-	for _, res := range []sim.RunResult{bimodal, alloy} {
+	for _, res := range []bimodal.RunResult{bm, alloy} {
 		r := res.Report
 		fmt.Printf("%-12s hit rate %-6s  avg latency %6.1f cycles  off-chip %-9s  wasted %s\n",
 			r.Scheme,
@@ -39,17 +41,8 @@ func main() {
 	}
 
 	// The Bi-Modal specifics: way locator and adaptive block sizing.
-	bm := bimodal.Scheme.(*dramcache.BiModal)
-	r := bimodal.Report
+	r := bm.Report
 	fmt.Printf("\nway locator hit rate: %s\n", stats.FmtPct(r.LocatorHitRate()))
 	fmt.Printf("small-block access fraction: %s\n", stats.FmtPct(r.SmallFraction))
-	fmt.Printf("cache-wide state (X_glob, Y_glob): %v\n", bm.Core().GlobalState())
-}
-
-func mustFactory(name string) sim.Factory {
-	f, err := sim.SchemeFactory(name)
-	if err != nil {
-		panic(err)
-	}
-	return f
+	fmt.Printf("cache-wide state (X_glob, Y_glob): %v\n", bm.Scheme.(*dramcache.BiModal).Core().GlobalState())
 }

@@ -379,7 +379,10 @@ func sweepWarmRestore(b *testing.B) {
 func runSweepPooled(pool *sim.RunPool) error {
 	ctx := context.Background()
 	mix := workloads.MustByName("Q1")
-	factory := sim.SchemeAlloy.Factory()
+	factory, err := sim.FactoryForSpec(spec.RunSpec{Scheme: "alloy", Mix: mix.Name}, mix.Cores())
+	if err != nil {
+		return err
+	}
 	for seed := uint64(1); seed <= 10; seed++ {
 		o := sim.Options{AccessesPerCore: 1000, CacheDivisor: 64, Seed: seed}
 		s := pool.Get("alloy", mix, factory, o)

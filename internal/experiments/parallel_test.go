@@ -30,18 +30,18 @@ func detOptions(workers int) Options {
 // asserts the RunResults are identical — the engine's core guarantee.
 func TestParallelRunResultsIdenticalToSerial(t *testing.T) {
 	mixes := Options{MaxMixes: 3}.mixes(4)
-	so := sim.Options{AccessesPerCore: 1200, Seed: 1, CacheDivisor: 8}
+	o := Options{AccessesPerCore: 1200, Seed: 1}
 	runAll := func(workers int) []sim.RunResult {
 		t.Helper()
 		cells := make([]cell[sim.RunResult], 0, 2*len(mixes))
 		for _, mix := range mixes {
-			cells = append(cells,
-				cell[sim.RunResult]{label: mix.Name + " bimodal", run: func(ctx context.Context) (sim.RunResult, error) {
-					return sim.RunContext(ctx, mix, sim.BiModalFactory(4, so), so)
-				}},
-				cell[sim.RunResult]{label: mix.Name + " alloy", run: func(ctx context.Context) (sim.RunResult, error) {
-					return sim.RunContext(ctx, mix, sim.SchemeAlloy.Factory(), so)
+			for _, scheme := range []string{"bimodal", "alloy"} {
+				rs := o.cellSpec(mix, scheme, nil)
+				cells = append(cells, cell[sim.RunResult]{label: mix.Name + " " + scheme, run: func(ctx context.Context) (sim.RunResult, error) {
+					_, res, err := o.run(ctx, rs)
+					return res, err
 				}})
+			}
 		}
 		res, err := runCells(context.Background(), Options{Workers: workers}, "det", cells)
 		if err != nil {

@@ -12,32 +12,25 @@ import (
 	"bimodal/internal/workloads"
 )
 
-// schemeEntry pairs a scheme's canonical label with its factory.
-type schemeEntry struct {
-	label   string
-	factory sim.Factory
-}
-
-// baselineSchemes derives the comparison baselines (alloy, lohhill,
+// baselineSchemes lists the comparison baselines (alloy, lohhill,
 // atcache, footprint) from the scheme registry, in registration order —
 // the single source of the list every figure used to rebuild by hand.
-func baselineSchemes() []schemeEntry {
-	ds := spec.Baselines()
-	out := make([]schemeEntry, len(ds))
-	for i, d := range ds {
-		out[i] = schemeEntry{label: d.Name, factory: sim.Factory(d.Factory())}
+func baselineSchemes() []string {
+	var out []string
+	for _, d := range spec.Baselines() {
+		out = append(out, d.Name)
 	}
 	return out
 }
 
-// referenceBaseline is the scheme every figure normalizes against: the
+// referenceBaseline names the scheme every figure normalizes against: the
 // registry's first baseline (AlloyCache).
-func referenceBaseline() sim.Factory {
+func referenceBaseline() string {
 	bs := baselineSchemes()
 	if len(bs) == 0 {
 		panic("experiments: scheme registry has no baselines")
 	}
-	return bs[0].factory
+	return bs[0]
 }
 
 func init() {
@@ -54,31 +47,60 @@ func init() {
 	register(Experiment{ID: "fig12", Title: "Figure 12: sensitivity to cache size, block size and associativity (quad-core)", Run: fig12})
 }
 
-// simOpts converts experiment options to sim options. Capacity is scaled
-// to 1/4 of the Table IV presets so the short replays reach eviction
-// steady state (see sim.Options.CacheDivisor). Workers propagates so the
-// standalone runs inside an ANTT cell fan out too.
-func simOpts(o Options) sim.Options {
-	return sim.Options{AccessesPerCore: o.AccessesPerCore, Seed: o.Seed, CacheDivisor: 4, Workers: o.Workers}
+// cellSpec names one timing cell as a run spec: the scheme and its params
+// on the mix, at the experiment's run length and seed, with capacity
+// scaled to 1/4 of the Table IV presets so the short replays reach
+// eviction steady state (see sim.Options.CacheDivisor).
+//
+// Ablations and extensions are spelled as "bimodal" plus family params,
+// never as preset names: sim.FactoryForSpec scales only plain bimodal to
+// the run length, and every figure compares scaled configurations.
+func (o Options) cellSpec(mix workloads.Mix, scheme string, params spec.Params) spec.RunSpec {
+	return spec.RunSpec{
+		Scheme:  scheme,
+		Params:  params,
+		Mix:     mix.Name,
+		Options: spec.Options{AccessesPerCore: o.AccessesPerCore, CacheDivisor: 4},
+		Seed:    o.Seed,
+	}
 }
 
-// anttCell builds an engine cell computing one ANTT value.
-func anttCell(label string, mix workloads.Mix, f sim.Factory, so sim.Options) cell[float64] {
+// run simulates a cell spec on fresh simulators: the multiprogrammed run,
+// plus every benchmark standalone when the spec asks for ANTT, fanned out
+// over o.Workers. The ANTT value is 0 otherwise.
+func (o Options) run(ctx context.Context, rs spec.RunSpec) (float64, sim.RunResult, error) {
+	mix, err := workloads.MixForSpec(rs)
+	if err != nil {
+		return 0, sim.RunResult{}, err
+	}
+	f, err := sim.FactoryForSpec(rs, mix.Cores())
+	if err != nil {
+		return 0, sim.RunResult{}, err
+	}
+	so := sim.OptionsForSpec(rs)
+	so.Workers = o.Workers
+	if rs.Options.ANTT {
+		return sim.ANTTContext(ctx, mix, f, so)
+	}
+	res, err := sim.RunContext(ctx, mix, f, so)
+	return 0, res, err
+}
+
+// anttCell builds an engine cell computing one spec's ANTT.
+func anttCell(o Options, label string, rs spec.RunSpec) cell[float64] {
+	rs.Options.ANTT = true
 	return cell[float64]{label: label, run: func(ctx context.Context) (float64, error) {
-		antt, _, err := sim.ANTTContext(ctx, mix, f, so)
+		antt, _, err := o.run(ctx, rs)
 		return antt, err
 	}}
 }
 
-// reportCell builds an engine cell running one mix on one scheme and
-// keeping its report.
-func reportCell(label string, mix workloads.Mix, f sim.Factory, so sim.Options) cell[dramcache.Report] {
+// reportCell builds an engine cell running one spec and keeping its
+// report.
+func reportCell(o Options, label string, rs spec.RunSpec) cell[dramcache.Report] {
 	return cell[dramcache.Report]{label: label, run: func(ctx context.Context) (dramcache.Report, error) {
-		res, err := sim.RunContext(ctx, mix, f, so)
-		if err != nil {
-			return dramcache.Report{}, err
-		}
-		return res.Report, nil
+		_, res, err := o.run(ctx, rs)
+		return res.Report, err
 	}}
 }
 
@@ -88,7 +110,6 @@ func fig7(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
 	tbl := stats.NewTable("Figure 7: ANTT improvement over AlloyCache",
 		"mix", "alloy ANTT", "bimodal ANTT", "improvement")
-	so := simOpts(o)
 	alloy := referenceBaseline()
 	type group struct {
 		cores int
@@ -101,8 +122,8 @@ func fig7(ctx context.Context, o Options) (*stats.Table, error) {
 		groups = append(groups, group{cores, mixes})
 		for _, mix := range mixes {
 			cells = append(cells,
-				anttCell(mix.Name+" alloy", mix, alloy, so),
-				anttCell(mix.Name+" bimodal", mix, sim.BiModalFactory(cores, so), so))
+				anttCell(o, mix.Name+" alloy", o.cellSpec(mix, alloy, nil)),
+				anttCell(o, mix.Name+" bimodal", o.cellSpec(mix, "bimodal", nil)))
 		}
 	}
 	res, err := runCells(ctx, o, "fig7", cells)
@@ -130,15 +151,14 @@ func fig8a(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
 	tbl := stats.NewTable("Figure 8a: ablation ANTT improvement over AlloyCache (8-core)",
 		"mix", "bimodal-only", "waylocator-only", "bimodal")
-	so := simOpts(o)
 	mixes := o.mixes(8)
 	var cells []cell[float64]
 	for _, mix := range mixes {
 		cells = append(cells,
-			anttCell(mix.Name+" alloy", mix, referenceBaseline(), so),
-			anttCell(mix.Name+" bimodal-only", mix, sim.BiModalFactory(8, so, dramcache.WithoutLocator()), so),
-			anttCell(mix.Name+" wl-only", mix, sim.BiModalFactory(8, so, dramcache.FixedBigBlocks()), so),
-			anttCell(mix.Name+" bimodal", mix, sim.BiModalFactory(8, so), so))
+			anttCell(o, mix.Name+" alloy", o.cellSpec(mix, referenceBaseline(), nil)),
+			anttCell(o, mix.Name+" bimodal-only", o.cellSpec(mix, "bimodal", spec.Params{"without_locator": 1})),
+			anttCell(o, mix.Name+" wl-only", o.cellSpec(mix, "bimodal", spec.Params{"fixed_big": 1})),
+			anttCell(o, mix.Name+" bimodal", o.cellSpec(mix, "bimodal", nil)))
 	}
 	res, err := runCells(ctx, o, "fig8a", cells)
 	if err != nil {
@@ -160,14 +180,13 @@ func fig8b(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
 	tbl := stats.NewTable("Figure 8b: DRAM cache hit rate (quad-core)",
 		"mix", "alloy", "fixed-512B", "bimodal")
-	so := simOpts(o)
 	mixes := o.mixes(4)
 	var cells []cell[dramcache.Report]
 	for _, mix := range mixes {
 		cells = append(cells,
-			reportCell(mix.Name+" alloy", mix, referenceBaseline(), so),
-			reportCell(mix.Name+" fixed-512B", mix, sim.BiModalFactory(4, so, dramcache.FixedBigBlocks()), so),
-			reportCell(mix.Name+" bimodal", mix, sim.BiModalFactory(4, so), so))
+			reportCell(o, mix.Name+" alloy", o.cellSpec(mix, referenceBaseline(), nil)),
+			reportCell(o, mix.Name+" fixed-512B", o.cellSpec(mix, "bimodal", spec.Params{"fixed_big": 1})),
+			reportCell(o, mix.Name+" bimodal", o.cellSpec(mix, "bimodal", nil)))
 	}
 	res, err := runCells(ctx, o, "fig8b", cells)
 	if err != nil {
@@ -190,20 +209,14 @@ func fig8b(ctx context.Context, o Options) (*stats.Table, error) {
 // across all schemes.
 func fig8c(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
-	so := simOpts(o)
-	schemes := append(
-		[]schemeEntry{{"bimodal", sim.BiModalFactory(4, so)}},
-		baselineSchemes()...)
-	header := []string{"mix"}
-	for _, s := range schemes {
-		header = append(header, s.label)
-	}
+	schemes := append([]string{"bimodal"}, baselineSchemes()...)
+	header := append([]string{"mix"}, schemes...)
 	tbl := stats.NewTable("Figure 8c: average access latency in CPU cycles (quad-core)", header...)
 	mixes := o.mixes(4)
 	var cells []cell[dramcache.Report]
 	for _, mix := range mixes {
 		for _, s := range schemes {
-			cells = append(cells, reportCell(mix.Name+" "+s.label, mix, s.factory, so))
+			cells = append(cells, reportCell(o, mix.Name+" "+s, o.cellSpec(mix, s, nil)))
 		}
 	}
 	res, err := runCells(ctx, o, "fig8c", cells)
@@ -215,14 +228,14 @@ func fig8c(ctx context.Context, o Options) (*stats.Table, error) {
 		row := []string{mix.Name}
 		for j, s := range schemes {
 			r := res[i*len(schemes)+j]
-			lat[s.label] = append(lat[s.label], r.AvgLatency())
+			lat[s] = append(lat[s], r.AvgLatency())
 			row = append(row, fmt.Sprintf("%.1f", r.AvgLatency()))
 		}
 		tbl.AddRow(row...)
 	}
 	avg := []string{"average"}
 	for _, s := range schemes {
-		avg = append(avg, fmt.Sprintf("%.1f", stats.MeanOf(lat[s.label])))
+		avg = append(avg, fmt.Sprintf("%.1f", stats.MeanOf(lat[s])))
 	}
 	tbl.AddRow(avg...)
 	bm := stats.MeanOf(lat["bimodal"])
@@ -240,13 +253,12 @@ func fig9a(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
 	tbl := stats.NewTable("Figure 9a: wasted off-chip bandwidth (8-core)",
 		"mix", "fixed-512B", "bimodal", "savings")
-	so := simOpts(o)
 	mixes := o.mixes(8)
 	var cells []cell[dramcache.Report]
 	for _, mix := range mixes {
 		cells = append(cells,
-			reportCell(mix.Name+" fixed-512B", mix, sim.BiModalFactory(8, so, dramcache.FixedBigBlocks()), so),
-			reportCell(mix.Name+" bimodal", mix, sim.BiModalFactory(8, so), so))
+			reportCell(o, mix.Name+" fixed-512B", o.cellSpec(mix, "bimodal", spec.Params{"fixed_big": 1})),
+			reportCell(o, mix.Name+" bimodal", o.cellSpec(mix, "bimodal", nil)))
 	}
 	res, err := runCells(ctx, o, "fig9a", cells)
 	if err != nil {
@@ -269,13 +281,12 @@ func fig9b(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
 	tbl := stats.NewTable("Figure 9b: metadata row-buffer hit rate (quad-core)",
 		"mix", "co-located", "separate bank", "gain")
-	so := simOpts(o)
 	mixes := o.mixes(4)
 	var cells []cell[dramcache.Report]
 	for _, mix := range mixes {
 		cells = append(cells,
-			reportCell(mix.Name+" co-located", mix, sim.BiModalFactory(4, so, dramcache.CoLocatedMetadata(), dramcache.WithName("BiModalCoMeta")), so),
-			reportCell(mix.Name+" separate", mix, sim.BiModalFactory(4, so), so))
+			reportCell(o, mix.Name+" co-located", o.cellSpec(mix, "bimodal", spec.Params{"co_located_meta": 1})),
+			reportCell(o, mix.Name+" separate", o.cellSpec(mix, "bimodal", nil)))
 	}
 	res, err := runCells(ctx, o, "fig9b", cells)
 	if err != nil {
@@ -298,23 +309,18 @@ func fig9b(ctx context.Context, o Options) (*stats.Table, error) {
 // fig9c sweeps the way locator table size K.
 func fig9c(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
-	ks := []uint{10, 12, 14, 16}
+	ks := []int64{10, 12, 14, 16}
 	header := []string{"mix"}
 	for _, k := range ks {
 		header = append(header, fmt.Sprintf("K=%d", k))
 	}
 	tbl := stats.NewTable("Figure 9c: way locator hit rate vs K (quad-core)", header...)
-	so := simOpts(o)
 	mixes := o.mixes(4)
 	var cells []cell[dramcache.Report]
 	for _, mix := range mixes {
 		for _, k := range ks {
-			factory := func(c dramcache.Config) dramcache.Scheme {
-				c.WayLocatorK = k
-				p := sim.ScaledCoreParams(c.CacheBytes, mix.Cores(), so.AccessesPerCore)
-				return dramcache.NewBiModal(c, dramcache.WithCoreParams(p))
-			}
-			cells = append(cells, reportCell(fmt.Sprintf("%s K=%d", mix.Name, k), mix, factory, so))
+			cells = append(cells, reportCell(o, fmt.Sprintf("%s K=%d", mix.Name, k),
+				o.cellSpec(mix, "bimodal", spec.Params{"way_locator_k": k})))
 		}
 	}
 	res, err := runCells(ctx, o, "fig9c", cells)
@@ -344,7 +350,6 @@ func fig10(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
 	tbl := stats.NewTable("Figure 10: fraction of accesses to small blocks (quad-core)",
 		"mix", "small fraction", "global state")
-	so := simOpts(o)
 	mixes := o.mixes(4)
 	type smallState struct {
 		small float64
@@ -353,7 +358,7 @@ func fig10(ctx context.Context, o Options) (*stats.Table, error) {
 	var cells []cell[smallState]
 	for _, mix := range mixes {
 		cells = append(cells, cell[smallState]{label: mix.Name + " bimodal", run: func(ctx context.Context) (smallState, error) {
-			res, err := sim.RunContext(ctx, mix, sim.BiModalFactory(4, so), so)
+			_, res, err := o.run(ctx, o.cellSpec(mix, "bimodal", nil))
 			if err != nil {
 				return smallState{}, err
 			}
@@ -376,11 +381,10 @@ func fig11(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
 	tbl := stats.NewTable("Figure 11: memory energy per access, nJ (8-core)",
 		"mix", "alloy", "bimodal", "savings")
-	so := simOpts(o)
 	mixes := o.mixes(8)
-	perAccess := func(label string, mix workloads.Mix, f sim.Factory) cell[float64] {
+	perAccess := func(label string, rs spec.RunSpec) cell[float64] {
 		return cell[float64]{label: label, run: func(ctx context.Context) (float64, error) {
-			res, err := sim.RunContext(ctx, mix, f, so)
+			_, res, err := o.run(ctx, rs)
 			if err != nil {
 				return 0, err
 			}
@@ -390,8 +394,8 @@ func fig11(ctx context.Context, o Options) (*stats.Table, error) {
 	var cells []cell[float64]
 	for _, mix := range mixes {
 		cells = append(cells,
-			perAccess(mix.Name+" alloy", mix, referenceBaseline()),
-			perAccess(mix.Name+" bimodal", mix, sim.BiModalFactory(8, so)))
+			perAccess(mix.Name+" alloy", o.cellSpec(mix, referenceBaseline(), nil)),
+			perAccess(mix.Name+" bimodal", o.cellSpec(mix, "bimodal", nil)))
 	}
 	res, err := runCells(ctx, o, "fig11", cells)
 	if err != nil {
@@ -421,14 +425,16 @@ func table6(ctx context.Context, o Options) (*stats.Table, error) {
 	}
 	ns := []int{1, 3}
 	var cells []cell[float64]
+	prefetching := func(rs spec.RunSpec, n int) spec.RunSpec {
+		rs.Options.Prefetch = n
+		return rs
+	}
 	for _, n := range ns {
-		so := simOpts(o)
-		so.PrefetchN = n
 		for _, mix := range mixes {
 			cells = append(cells,
-				anttCell(fmt.Sprintf("%s N=%d alloy", mix.Name, n), mix, referenceBaseline(), so),
-				anttCell(fmt.Sprintf("%s N=%d normal", mix.Name, n), mix, sim.BiModalFactory(4, so), so),
-				anttCell(fmt.Sprintf("%s N=%d bypass", mix.Name, n), mix, sim.BiModalFactory(4, so, dramcache.WithPrefetchBypass()), so))
+				anttCell(o, fmt.Sprintf("%s N=%d alloy", mix.Name, n), prefetching(o.cellSpec(mix, referenceBaseline(), nil), n)),
+				anttCell(o, fmt.Sprintf("%s N=%d normal", mix.Name, n), prefetching(o.cellSpec(mix, "bimodal", nil), n)),
+				anttCell(o, fmt.Sprintf("%s N=%d bypass", mix.Name, n), prefetching(o.cellSpec(mix, "bimodal", spec.Params{"prefetch_bypass": 1}), n)))
 		}
 	}
 	res, err := runCells(ctx, o, "table6", cells)
@@ -460,10 +466,10 @@ func fig12(ctx context.Context, o Options) (*stats.Table, error) {
 	type cfg struct {
 		label      string
 		cacheBytes uint64
-		setBytes   uint64
-		bigBlock   uint64
-		minBig     int
-		threshold  int
+		setBytes   int64
+		bigBlock   int64
+		minBig     int64
+		threshold  int64
 	}
 	cfgs := []cfg{
 		{"BiModal(64M-512-4)", 64 << 20, 2048, 512, 2, 5},
@@ -479,20 +485,16 @@ func fig12(ctx context.Context, o Options) (*stats.Table, error) {
 	}
 	var cells []cell[float64]
 	for _, c := range cfgs {
-		so := simOpts(o)
-		so.CacheBytes = c.cacheBytes / 4 // same capacity scaling as simOpts
+		geometry := spec.Params{"set_bytes": c.setBytes, "big_block": c.bigBlock, "min_big": c.minBig, "threshold": c.threshold}
 		for _, mix := range mixes {
-			factory := func(dc dramcache.Config) dramcache.Scheme {
-				p := sim.ScaledCoreParams(dc.CacheBytes, mix.Cores(), so.AccessesPerCore)
-				p.SetBytes = c.setBytes
-				p.BigBlock = c.bigBlock
-				p.MinBig = c.minBig
-				p.Threshold = c.threshold
-				return dramcache.NewBiModal(dc, dramcache.WithCoreParams(p))
-			}
+			alloy := o.cellSpec(mix, referenceBaseline(), nil)
+			bm := o.cellSpec(mix, "bimodal", geometry)
+			// Same 1/4 capacity scaling as cellSpec, from this point's size.
+			alloy.Options.CacheBytes = c.cacheBytes / 4
+			bm.Options.CacheBytes = c.cacheBytes / 4
 			cells = append(cells,
-				anttCell(mix.Name+" "+c.label+" alloy", mix, referenceBaseline(), so),
-				anttCell(mix.Name+" "+c.label, mix, factory, so))
+				anttCell(o, mix.Name+" "+c.label+" alloy", alloy),
+				anttCell(o, mix.Name+" "+c.label, bm))
 		}
 	}
 	res, err := runCells(ctx, o, "fig12", cells)

@@ -7,6 +7,7 @@ import (
 	"bimodal/internal/core"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/sim"
+	"bimodal/internal/spec"
 	"bimodal/internal/stats"
 	"bimodal/internal/workloads"
 )
@@ -48,20 +49,23 @@ func sweepMixes(o Options) []string {
 }
 
 // sweepCell builds a cell running BiModal on one mix with one
-// core-parameter mutation applied.
-func sweepCell(o Options, label, mixName string, mutate func(*simCoreParams)) cell[dramcache.Report] {
-	so := simOpts(o)
+// core-parameter mutation applied. It serves the weight and predictor
+// sweeps only: W is a float and P a table width, neither of which the spec
+// exposes (see the biModalParams comment in internal/spec), and adding
+// params would add options. So these sweeps keep one factory closure over
+// sim.ScaledCoreParams; mix and run options still come from the cell spec.
+func sweepCell(o Options, label, mixName string, mutate func(*core.Params)) cell[dramcache.Report] {
+	mix := workloads.MustByName(mixName)
+	so := sim.OptionsForSpec(o.cellSpec(mix, "bimodal", nil))
+	so.Workers = o.Workers
 	factory := func(cfg dramcache.Config) dramcache.Scheme {
-		p := sim.ScaledCoreParams(cfg.CacheBytes, 4, so.AccessesPerCore)
+		p := sim.ScaledCoreParams(cfg.CacheBytes, mix.Cores(), so.AccessesPerCore)
 		mutate(&p)
 		return dramcache.NewBiModal(cfg, dramcache.WithCoreParams(p))
 	}
 	return cell[dramcache.Report]{label: label, run: func(ctx context.Context) (dramcache.Report, error) {
-		res, err := sim.RunContext(ctx, workloads.MustByName(mixName), factory, so)
-		if err != nil {
-			return dramcache.Report{}, err
-		}
-		return res.Report, nil
+		res, err := sim.RunContext(ctx, mix, factory, so)
+		return res.Report, err
 	}}
 }
 
@@ -72,13 +76,13 @@ func sweepThreshold(ctx context.Context, o Options) (*stats.Table, error) {
 	o = o.normalize()
 	tbl := stats.NewTable("Design sweep: threshold T",
 		"T", "avg latency", "wasted bytes", "small fraction")
-	ts := []int{2, 3, 4, 5, 6, 7, 8}
+	ts := []int64{2, 3, 4, 5, 6, 7, 8}
 	mixNames := sweepMixes(o)
 	var cells []cell[dramcache.Report]
 	for _, T := range ts {
 		for _, mixName := range mixNames {
-			cells = append(cells, sweepCell(o, fmt.Sprintf("%s T=%d", mixName, T), mixName,
-				func(p *simCoreParams) { p.Threshold = T }))
+			cells = append(cells, reportCell(o, fmt.Sprintf("%s T=%d", mixName, T),
+				o.cellSpec(workloads.MustByName(mixName), "bimodal", spec.Params{"threshold": T})))
 		}
 	}
 	res, err := runCells(ctx, o, "sweep-threshold", cells)
@@ -114,7 +118,7 @@ func sweepWeight(ctx context.Context, o Options) (*stats.Table, error) {
 	for _, W := range ws {
 		for _, mixName := range mixNames {
 			cells = append(cells, sweepCell(o, fmt.Sprintf("%s W=%.2f", mixName, W), mixName,
-				func(p *simCoreParams) { p.Weight = W }))
+				func(p *core.Params) { p.Weight = W }))
 		}
 	}
 	res, err := runCells(ctx, o, "sweep-weight", cells)
@@ -148,7 +152,7 @@ func sweepPredictor(ctx context.Context, o Options) (*stats.Table, error) {
 	for _, P := range ps {
 		for _, mixName := range mixNames {
 			cells = append(cells, sweepCell(o, fmt.Sprintf("%s P=%d", mixName, P), mixName,
-				func(p *simCoreParams) { p.PredictorBits = P }))
+				func(p *core.Params) { p.PredictorBits = P }))
 		}
 	}
 	res, err := runCells(ctx, o, "sweep-predictor", cells)
@@ -169,6 +173,3 @@ func sweepPredictor(ctx context.Context, o Options) (*stats.Table, error) {
 	}
 	return tbl, nil
 }
-
-// simCoreParams aliases the core cache parameters for the sweep mutators.
-type simCoreParams = core.Params

@@ -45,7 +45,6 @@ func extTenant(ctx context.Context, o Options) (*stats.Table, error) {
 	if o.MaxMixes > 0 && len(mixes) > o.MaxMixes {
 		mixes = mixes[:o.MaxMixes]
 	}
-	so := simOpts(o)
 	tbl := stats.NewTable("Extension: tenant QoS on datacenter mixes (quad-core)",
 		"mix", "tenants", "BiModal ANTT", "Alloy ANTT", "BiModal worst", "Alloy worst", "ANTT gain")
 	type tenantResult struct {
@@ -56,11 +55,11 @@ func extTenant(ctx context.Context, o Options) (*stats.Table, error) {
 	for _, mix := range mixes {
 		mix := mix
 		cells = append(cells, cell[tenantResult]{label: mix.Name, run: func(ctx context.Context) (tenantResult, error) {
-			bm, err := sim.RunContext(ctx, mix, sim.BiModalFactory(mix.Cores(), so), so)
+			_, bm, err := o.run(ctx, o.cellSpec(mix, "bimodal", nil))
 			if err != nil {
 				return tenantResult{}, err
 			}
-			al, err := sim.RunContext(ctx, mix, sim.SchemeAlloy.Factory(), so)
+			_, al, err := o.run(ctx, o.cellSpec(mix, referenceBaseline(), nil))
 			if err != nil {
 				return tenantResult{}, err
 			}

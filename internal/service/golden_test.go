@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bimodal/internal/sim"
+	"bimodal/internal/spec"
 	"bimodal/internal/workloads"
 )
 
@@ -39,26 +40,21 @@ func TestResultGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := sim.Options{
-				AccessesPerCore: 20_000,
-				Seed:            7,
-				CacheDivisor:    64,
+			rs := spec.RunSpec{
+				Scheme:  tc.scheme,
+				Mix:     tc.mix,
+				Seed:    7,
+				Options: spec.Options{AccessesPerCore: 20_000, CacheDivisor: 64},
 			}
-			id, err := sim.ParseScheme(tc.scheme)
+			factory, err := sim.FactoryForSpec(rs, mix.Cores())
 			if err != nil {
 				t.Fatal(err)
 			}
-			var factory sim.Factory
-			if id == sim.SchemeBiModal {
-				factory = sim.BiModalFactory(mix.Cores(), opts)
-			} else {
-				factory = id.Factory()
-			}
-			res, err := sim.RunContext(context.Background(), mix, factory, opts)
+			res, err := sim.RunContext(context.Background(), mix, factory, sim.OptionsForSpec(rs))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cell := NewCellResult(id.String(), res)
+			cell := NewCellResult(tc.scheme, res)
 			got, err := json.MarshalIndent(cell, "", "  ")
 			if err != nil {
 				t.Fatal(err)

@@ -49,7 +49,7 @@ func NewSim(mix workloads.Mix, factory Factory, o Options) *Sim {
 	return &Sim{
 		mix: mix,
 		o:   o,
-		eng: cpu.NewEngine(scheme, mix.Generators(o.Seed), o.CoreCfg, pf),
+		eng: cpu.NewEngine(scheme, mix.Generators(o.Seed), cpu.DefaultCoreConfig(), pf),
 	}
 }
 

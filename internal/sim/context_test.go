@@ -7,70 +7,15 @@ import (
 	"runtime"
 	"testing"
 
-	"bimodal/internal/dramcache"
 	"bimodal/internal/workloads"
 )
-
-func TestParseScheme(t *testing.T) {
-	for _, id := range SchemeIDs() {
-		got, err := ParseScheme(id.String())
-		if err != nil {
-			t.Fatalf("ParseScheme(%q): %v", id, err)
-		}
-		if got != id {
-			t.Errorf("ParseScheme(%q) = %v, want %v", id, got, id)
-		}
-		if !id.Valid() {
-			t.Errorf("%v.Valid() = false", id)
-		}
-	}
-	if _, err := ParseScheme("no-such-scheme"); err == nil {
-		t.Error("ParseScheme accepted an unknown name")
-	}
-	if SchemeID(-1).Valid() || SchemeID(int(numSchemes)).Valid() {
-		t.Error("out-of-range SchemeID reported valid")
-	}
-}
-
-// TestSchemeNamesComplete pins the regression where bimodal-cometa and
-// bimodal-bypass were missing from the listing.
-func TestSchemeNamesComplete(t *testing.T) {
-	names := SchemeNames()
-	if len(names) != int(numSchemes) {
-		t.Fatalf("SchemeNames() has %d entries, want %d", len(names), numSchemes)
-	}
-	want := map[string]bool{"bimodal-cometa": false, "bimodal-bypass": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("SchemeNames() missing %q", n)
-		}
-	}
-}
-
-func TestSchemeFactoryShim(t *testing.T) {
-	f, err := SchemeFactory("alloy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := f(dramcache.DefaultConfig(4)); s.Name() != "AlloyCache" {
-		t.Errorf("factory built %q, want AlloyCache", s.Name())
-	}
-	if _, err := SchemeFactory("bogus"); err == nil {
-		t.Error("SchemeFactory accepted an unknown name")
-	}
-}
 
 func TestRunContextCancelled(t *testing.T) {
 	mix := workloads.MustByName("Q1")
 	o := Options{AccessesPerCore: 50_000_000, Seed: 1, CacheDivisor: 8}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, mix, SchemeAlloy.Factory(), o); !errors.Is(err, context.Canceled) {
+	if _, err := RunContext(ctx, mix, presetFactory("alloy"), o); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunContext on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -79,13 +24,13 @@ func TestRunStandaloneContextParallelMatchesSerial(t *testing.T) {
 	mix := workloads.MustByName("Q3")
 	o := Options{AccessesPerCore: 2_000, Seed: 7, CacheDivisor: 8}
 	o.Workers = 1
-	serial, err := RunStandaloneContext(context.Background(), mix, SchemeAlloy.Factory(), o)
+	serial, err := RunStandaloneContext(context.Background(), mix, presetFactory("alloy"), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, runtime.NumCPU()} {
 		o.Workers = workers
-		got, err := RunStandaloneContext(context.Background(), mix, SchemeAlloy.Factory(), o)
+		got, err := RunStandaloneContext(context.Background(), mix, presetFactory("alloy"), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,12 +46,12 @@ func TestANTTContextParallelMatchesSerial(t *testing.T) {
 	mix := workloads.MustByName("Q2")
 	o := Options{AccessesPerCore: 2_000, Seed: 3, CacheDivisor: 8}
 	o.Workers = 1
-	serialANTT, serialMulti, err := ANTTContext(context.Background(), mix, SchemeAlloy.Factory(), o)
+	serialANTT, serialMulti, err := ANTTContext(context.Background(), mix, presetFactory("alloy"), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Workers = runtime.NumCPU()
-	parANTT, parMulti, err := ANTTContext(context.Background(), mix, SchemeAlloy.Factory(), o)
+	parANTT, parMulti, err := ANTTContext(context.Background(), mix, presetFactory("alloy"), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +69,7 @@ func TestANTTContextCancelled(t *testing.T) {
 	o := Options{AccessesPerCore: 50_000_000, Seed: 1, CacheDivisor: 8, Workers: 2}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ANTTContext(ctx, mix, SchemeAlloy.Factory(), o); !errors.Is(err, context.Canceled) {
+	if _, _, err := ANTTContext(ctx, mix, presetFactory("alloy"), o); !errors.Is(err, context.Canceled) {
 		t.Errorf("ANTTContext on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"bimodal/internal/cpu"
 	"bimodal/internal/dramcache"
 	"bimodal/internal/energy"
+	"bimodal/internal/spec"
 	"bimodal/internal/workloads"
 )
 
@@ -54,13 +55,13 @@ func encodeResult(t *testing.T, r RunResult) []byte {
 // a seed change, which exercises every re-seeding path.
 func TestPooledRunMatchesFresh(t *testing.T) {
 	mix := workloads.MustByName("Q1")
-	for _, id := range SchemeIDs() {
-		id := id
-		t.Run(id.String(), func(t *testing.T) {
+	for _, name := range spec.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
 			o1 := Options{AccessesPerCore: 1500, Seed: 5, CacheBytes: 2 << 20}
 			o2 := o1
 			o2.Seed = 9
-			factory := id.Factory()
+			factory := presetFactory(name)
 
 			fresh1 := encodeResult(t, runSim(t, NewSim(mix, factory, o1)))
 			fresh2 := encodeResult(t, runSim(t, NewSim(mix, factory, o2)))
@@ -69,13 +70,13 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 			}
 
 			pool := NewRunPool(2)
-			s := pool.Get(id.String(), mix, factory, o1)
+			s := pool.Get(name, mix, factory, o1)
 			if got := encodeResult(t, runSim(t, s)); !bytes.Equal(got, fresh1) {
 				t.Errorf("first pooled run diverges from fresh run")
 			}
 			pool.Put(s)
 
-			s2 := pool.Get(id.String(), mix, factory, o2)
+			s2 := pool.Get(name, mix, factory, o2)
 			if hits, _ := pool.Stats(); hits != 1 {
 				t.Fatalf("second Get was not served by reuse (hits=%d): Reset declined", hits)
 			}
@@ -92,7 +93,7 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 // declines.
 func TestRunPoolGeometryMismatch(t *testing.T) {
 	mix := workloads.MustByName("Q1")
-	factory := SchemeBiModal.Factory()
+	factory := presetFactory("bimodal")
 	o := Options{AccessesPerCore: 500, Seed: 1, CacheBytes: 2 << 20}
 	pool := NewRunPool(4)
 
@@ -118,17 +119,17 @@ func TestRunPoolGeometryMismatch(t *testing.T) {
 // -race this also proves the pool's synchronization.
 func TestRunPoolConcurrent(t *testing.T) {
 	mix := workloads.MustByName("Q1")
-	schemes := []SchemeID{SchemeBiModal, SchemeAlloy}
+	schemes := []string{"bimodal", "alloy"}
 	seeds := []uint64{2, 11}
 	base := Options{AccessesPerCore: 400, CacheBytes: 1 << 20}
 
 	want := make(map[string][]byte)
-	for _, id := range schemes {
+	for _, name := range schemes {
 		for _, seed := range seeds {
 			o := base
 			o.Seed = seed
-			key := fmt.Sprintf("%s/%d", id, seed)
-			want[key] = encodeResult(t, runSim(t, NewSim(mix, id.Factory(), o)))
+			key := fmt.Sprintf("%s/%d", name, seed)
+			want[key] = encodeResult(t, runSim(t, NewSim(mix, presetFactory(name), o)))
 		}
 	}
 
@@ -143,11 +144,11 @@ func TestRunPoolConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				id := schemes[(w+i)%len(schemes)]
+				name := schemes[(w+i)%len(schemes)]
 				seed := seeds[i%len(seeds)]
 				o := base
 				o.Seed = seed
-				s := pool.Get(id.String(), mix, id.Factory(), o)
+				s := pool.Get(name, mix, presetFactory(name), o)
 				if err := s.Warmup(context.Background()); err != nil {
 					errs <- err
 					return
@@ -162,7 +163,7 @@ func TestRunPoolConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				key := fmt.Sprintf("%s/%d", id, seed)
+				key := fmt.Sprintf("%s/%d", name, seed)
 				if !bytes.Equal(got, want[key]) {
 					errs <- fmt.Errorf("worker %d iter %d: pooled %s diverges from fresh", w, i, key)
 					return

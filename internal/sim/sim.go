@@ -38,12 +38,10 @@ type Options struct {
 	// window (the paper fast-forwards before collecting statistics).
 	// 0 selects AccessesPerCore (1:1 warmup); negative disables warmup.
 	WarmupPerCore int64
-	// CoreCfg is the core timing model; zero value selects the default.
-	CoreCfg cpu.CoreConfig
 	// PrefetchN enables the next-N-lines prefetcher when positive.
 	PrefetchN int
 	// Workers bounds the fan-out of the independent simulations inside
-	// one call (the per-benchmark standalone runs of RunStandalone/ANTT).
+	// one call (the per-benchmark standalone runs of ANTTContext).
 	// 0 or 1 runs them serially; results are collected in mix order either
 	// way, so the output is identical at any worker count.
 	Workers int
@@ -56,9 +54,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.CoreCfg.MSHRs == 0 {
-		o.CoreCfg = cpu.DefaultCoreConfig()
 	}
 	if o.WarmupPerCore == 0 {
 		o.WarmupPerCore = o.AccessesPerCore
@@ -129,21 +124,13 @@ func RunContext(ctx context.Context, mix workloads.Mix, factory Factory, o Optio
 	return s.Measure(ctx)
 }
 
-// RunStandalone runs each benchmark of the mix alone on the same machine
-// configuration (fresh scheme per benchmark) and returns the per-core
-// results in mix order — the C^SP terms of ANTT.
-func RunStandalone(mix workloads.Mix, factory Factory, o Options) []cpu.CoreResult {
-	out, err := RunStandaloneContext(context.Background(), mix, factory, o)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// RunStandaloneContext is RunStandalone with cancellation. The standalone
-// runs are fully independent (fresh scheme and generator each), so they
-// fan out over o.Workers goroutines; results land in mix order regardless
-// of worker count, keeping parallel output identical to serial.
+// RunStandaloneContext runs each benchmark of the mix alone on the same
+// machine configuration (fresh scheme per benchmark) and returns the
+// per-core results in mix order — the C^SP terms of ANTT. It stops
+// promptly when ctx ends. The standalone runs are fully independent
+// (fresh scheme and generator each), so they fan out over o.Workers
+// goroutines; results land in mix order regardless of worker count,
+// keeping parallel output identical to serial.
 func RunStandaloneContext(ctx context.Context, mix workloads.Mix, factory Factory, o Options) ([]cpu.CoreResult, error) {
 	o = o.normalize()
 	return engine.Map(ctx, o.Workers, mix.Cores(), func(ctx context.Context, i int) (cpu.CoreResult, error) {
@@ -154,20 +141,12 @@ func RunStandaloneContext(ctx context.Context, mix workloads.Mix, factory Factor
 // soloGenerator re-labels a generator for standalone runs (core 0).
 type soloGenerator struct{ trace.Generator }
 
-// ANTT runs the mix multiprogrammed and standalone under both, returning
-// the ANTT value and the multiprogrammed result.
-func ANTT(mix workloads.Mix, factory Factory, o Options) (float64, RunResult) {
-	antt, multi, err := ANTTContext(context.Background(), mix, factory, o)
-	if err != nil {
-		panic(err)
-	}
-	return antt, multi
-}
-
-// ANTTContext is ANTT with cancellation. The multiprogrammed run and the
-// per-benchmark standalone runs are all independent simulations; with
-// o.Workers > 1 they execute concurrently (the multiprogrammed run as one
-// cell beside the standalone cells).
+// ANTTContext runs the mix multiprogrammed and each benchmark standalone,
+// returning the ANTT value and the multiprogrammed result; it stops
+// promptly when ctx ends. The multiprogrammed run and the per-benchmark
+// standalone runs are all independent simulations; with o.Workers > 1
+// they execute concurrently (the multiprogrammed run as one cell beside
+// the standalone cells).
 func ANTTContext(ctx context.Context, mix workloads.Mix, factory Factory, o Options) (float64, RunResult, error) {
 	o = o.normalize()
 	if o.Workers <= 1 {
@@ -217,7 +196,7 @@ func standaloneOne(ctx context.Context, mix workloads.Mix, factory Factory, o Op
 	if o.PrefetchN > 0 {
 		pf = cpu.NewPrefetcher(o.PrefetchN, 1)
 	}
-	eng := cpu.NewEngine(scheme, []trace.Generator{soloGenerator{Generator: g}}, o.CoreCfg, pf)
+	eng := cpu.NewEngine(scheme, []trace.Generator{soloGenerator{Generator: g}}, cpu.DefaultCoreConfig(), pf)
 	res, err := eng.RunMeasuredContext(ctx, o.WarmupPerCore, o.AccessesPerCore)
 	if err != nil {
 		return cpu.CoreResult{}, err

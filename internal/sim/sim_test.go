@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"bimodal/internal/dramcache"
+	"bimodal/internal/spec"
 	"bimodal/internal/workloads"
 )
 
@@ -12,33 +14,20 @@ func quick() Options {
 	return Options{AccessesPerCore: 4000, Seed: 3, CacheBytes: 4 << 20}
 }
 
-func TestSchemeFactoryKnownNames(t *testing.T) {
-	for _, n := range SchemeNames() {
-		f, err := SchemeFactory(n)
-		if err != nil || f == nil {
-			t.Errorf("%s: %v", n, err)
-			continue
-		}
-		cfg := dramcache.DefaultConfig(4)
-		cfg.CacheBytes = 1 << 20
-		s := f(cfg)
-		if s == nil || s.Name() == "" {
-			t.Errorf("%s: bad scheme", n)
-		}
+// presetFactory builds the named scheme with its paper defaults
+// (Descriptor.Factory, no run-length scaling): the build every sim golden
+// was recorded with.
+func presetFactory(name string) Factory {
+	d, err := spec.Lookup(name)
+	if err != nil {
+		panic(err)
 	}
-	if _, err := SchemeFactory("bogus"); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-	for _, extra := range []string{"bimodal-cometa", "bimodal-bypass"} {
-		if _, err := SchemeFactory(extra); err != nil {
-			t.Errorf("%s: %v", extra, err)
-		}
-	}
+	return Factory(d.Factory())
 }
 
 func TestRunProducesConsistentResult(t *testing.T) {
 	mix := workloads.MustByName("Q7")
-	f, _ := SchemeFactory("bimodal")
+	f := presetFactory("bimodal")
 	res := Run(mix, f, quick())
 	if res.Mix != "Q7" || len(res.PerCore) != 4 {
 		t.Fatalf("result: %+v", res.Mix)
@@ -61,7 +50,7 @@ func TestRunProducesConsistentResult(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	mix := workloads.MustByName("Q1")
-	f, _ := SchemeFactory("alloy")
+	f := presetFactory("alloy")
 	a := Run(mix, f, quick())
 	b := Run(mix, f, quick())
 	if a.TotalCycles() != b.TotalCycles() || a.Report.Hits != b.Report.Hits {
@@ -71,10 +60,13 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestStandaloneFasterThanShared(t *testing.T) {
 	mix := workloads.MustByName("Q1")
-	f, _ := SchemeFactory("bimodal")
+	f := presetFactory("bimodal")
 	o := quick()
 	multi := Run(mix, f, o)
-	single := RunStandalone(mix, f, o)
+	single, err := RunStandaloneContext(context.Background(), mix, f, o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(single) != 4 {
 		t.Fatalf("standalone results = %d", len(single))
 	}
@@ -91,8 +83,11 @@ func TestStandaloneFasterThanShared(t *testing.T) {
 
 func TestANTTAboveOne(t *testing.T) {
 	mix := workloads.MustByName("Q3")
-	f, _ := SchemeFactory("bimodal")
-	antt, res := ANTT(mix, f, quick())
+	f := presetFactory("bimodal")
+	antt, res, err := ANTTContext(context.Background(), mix, f, quick())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if antt <= 1.0 {
 		t.Errorf("ANTT = %.3f; sharing should slow programs", antt)
 	}
@@ -129,7 +124,7 @@ func TestBiModalFactoryAppliesScaledInterval(t *testing.T) {
 
 func TestPrefetcherIntegration(t *testing.T) {
 	mix := workloads.MustByName("Q2")
-	f, _ := SchemeFactory("bimodal")
+	f := presetFactory("bimodal")
 	o := quick()
 	o.PrefetchN = 1
 	res := Run(mix, f, o)

@@ -3,6 +3,8 @@ package spec
 import (
 	"bytes"
 	"testing"
+
+	"bimodal/internal/dramcache"
 )
 
 // FuzzSpec feeds arbitrary bytes through Parse and checks the invariants
@@ -50,6 +52,53 @@ func FuzzSpec(f *testing.F) {
 		h2, _ := c2.Hash()
 		if h1 != h2 {
 			t.Fatalf("hash drifted across round trip: %s vs %s", h1, h2)
+		}
+	})
+}
+
+// FuzzLookup checks that Lookup never panics and accepts a name exactly
+// when it is a registered canonical name or alias; an accepted name
+// resolves to a descriptor whose Name is canonical (listed by Names) and
+// whose paper-default Factory builds a scheme.
+func FuzzLookup(f *testing.F) {
+	known := map[string]bool{}
+	canonical := map[string]bool{}
+	for _, d := range Descriptors() {
+		known[d.Name] = true
+		canonical[d.Name] = true
+		for _, a := range d.Aliases {
+			known[a] = true
+		}
+	}
+	for _, name := range Names() {
+		f.Add(name)
+	}
+	f.Add("")
+	f.Add("bimodal ")
+	f.Add("BIMODAL")
+	f.Add("alloy\x00")
+	f.Add("cometa")
+	f.Add("without-locator")
+	f.Add("scheme-that-does-not-exist")
+
+	cfg := dramcache.DefaultConfig(4)
+	cfg.CacheBytes = 1 << 20
+	f.Fuzz(func(t *testing.T, name string) {
+		d, err := Lookup(name)
+		if err != nil {
+			if known[name] {
+				t.Fatalf("Lookup(%q) rejected a registered name: %v", name, err)
+			}
+			return
+		}
+		if !known[name] {
+			t.Fatalf("Lookup(%q) accepted an unregistered name as %q", name, d.Name)
+		}
+		if !canonical[d.Name] {
+			t.Fatalf("Lookup(%q).Name = %q is not a canonical name", name, d.Name)
+		}
+		if s := d.Factory()(cfg); s == nil || s.Name() == "" {
+			t.Fatalf("Lookup(%q): factory built no scheme", name)
 		}
 	})
 }

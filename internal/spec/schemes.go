@@ -8,11 +8,13 @@ import (
 )
 
 // The nine evaluated schemes, registered in comparison order (the order
-// every figure and table lists them in). The four BiModal variants that
-// used to be baked-in factory closures in sim/scheme.go are presets of the
-// "bimodal" family: the same builder, differing only in declarative
-// params, so any combination ("co_located_meta": true plus
-// "fixed_big": true, say) is now expressible without a new SchemeID.
+// every figure and table lists them in). The four BiModal variants are
+// presets of the "bimodal" family: the same builder, differing only in
+// declarative params, so any combination ("co_located_meta": true plus
+// "fixed_big": true, say) is expressible without a new registration.
+// Presets build with the paper defaults; only plain "bimodal" is scaled
+// to the run length (sim.FactoryForSpec), so the figures spell their
+// ablations as "bimodal" plus params.
 func init() {
 	mustRegister(Descriptor{
 		Name:        "bimodal",
