@@ -3,17 +3,17 @@ package sim
 import (
 	"testing"
 
+	"bimodal/internal/dramcache"
 	"bimodal/internal/spec"
 )
 
-// FuzzParseScheme checks that ParseScheme never panics and that its
-// accept/reject decision is consistent with the typed SchemeID surface
-// and the scheme registry: every accepted name resolves to a valid ID
-// whose String is the registry's canonical name for that input (aliases
-// like "cometa" parse but canonicalize), and has a working factory; every
-// rejected name returns an invalid ID and is unknown to the registry too.
+// FuzzParseScheme checks that resolving a scheme name through
+// FactoryForSpec never panics and agrees with the scheme registry: every
+// name the registry knows (canonical or alias, like "cometa") yields a
+// factory that builds a scheme, and every name it rejects is rejected
+// here too.
 func FuzzParseScheme(f *testing.F) {
-	for _, name := range SchemeNames() {
+	for _, name := range spec.Names() {
 		f.Add(name)
 	}
 	f.Add("")
@@ -24,32 +24,25 @@ func FuzzParseScheme(f *testing.F) {
 	f.Add("without-locator")
 	f.Add("scheme-that-does-not-exist")
 
+	cfg := dramcache.DefaultConfig(4)
+	cfg.CacheBytes = 1 << 20
 	f.Fuzz(func(t *testing.T, name string) {
-		id, err := ParseScheme(name)
+		fac, err := FactoryForSpec(spec.RunSpec{Scheme: name}, 4)
+		_, lerr := spec.Lookup(name)
 		if err != nil {
-			if id.Valid() {
-				t.Fatalf("ParseScheme(%q) = (%v, %v): error with valid ID", name, id, err)
-			}
-			if _, lerr := spec.Lookup(name); lerr == nil {
-				t.Fatalf("ParseScheme(%q) rejected a registry-known name", name)
+			if lerr == nil {
+				t.Fatalf("FactoryForSpec(%q) rejected a registry-known name: %v", name, err)
 			}
 			return
 		}
-		if !id.Valid() {
-			t.Fatalf("ParseScheme(%q) accepted but ID %d invalid", name, int(id))
-		}
-		d, lerr := spec.Lookup(name)
 		if lerr != nil {
-			t.Fatalf("ParseScheme(%q) accepted a registry-unknown name: %v", name, lerr)
+			t.Fatalf("FactoryForSpec(%q) accepted a registry-unknown name: %v", name, lerr)
 		}
-		if got := id.String(); got != d.Name {
-			t.Fatalf("ParseScheme(%q).String() = %q, want canonical %q", name, got, d.Name)
+		if fac == nil {
+			t.Fatalf("FactoryForSpec(%q): nil factory for a known scheme", name)
 		}
-		if id.Factory() == nil {
-			t.Fatalf("ParseScheme(%q): nil factory for valid scheme", name)
-		}
-		if _, err := SchemeFactory(name); err != nil {
-			t.Fatalf("SchemeFactory(%q) = %v after ParseScheme accepted it", name, err)
+		if s := fac(cfg); s == nil || s.Name() == "" {
+			t.Fatalf("FactoryForSpec(%q): factory built no scheme", name)
 		}
 	})
 }
