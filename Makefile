@@ -35,12 +35,25 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotRoundTrip -fuzztime=10s ./internal/snapshot
 
 # snapshot-golden runs the warm-state checkpointing gates on their own:
-# restore-then-run byte identity for every registered scheme, and the
-# warmup-exactly-once sweep contract. All of it also runs under `make
-# test`; this target names the gate for CI and local iteration.
+# restore-then-run byte identity for every registered scheme, the spec
+# runner's warm-prefix sharing, and the warmup-exactly-once sweep
+# contract. All of it also runs under `make test`; this target names the
+# gate for CI and local iteration. Each alternative of a -run pattern must
+# match at least one test, so a renamed or moved test fails the gate
+# instead of leaving it to run nothing.
 snapshot-golden:
-	$(GO) test -run 'TestRestore|TestPrefixHash' -v ./internal/sim
-	$(GO) test -run 'TestSweepWarmupRunsOnce|TestWarmRunner' -v ./internal/service
+	$(call run-golden,TestRestore|TestPrefixHash|TestRunner,./internal/sim)
+	$(call run-golden,TestSweepWarmupRunsOnce|TestWarmRunner,./internal/service)
+
+# run-golden runs the tests of package $(2) matching pattern $(1), after
+# checking that every |-separated alternative of $(1) names some test.
+define run-golden
+	@for p in $(subst |, ,$(1)); do \
+		n=$$($(GO) test -list "$$p" $(2) | grep -c '^Test'); \
+		if [ "$$n" -eq 0 ]; then echo "snapshot-golden: -run $$p matches no test in $(2)" >&2; exit 1; fi; \
+	done
+	$(GO) test -run '$(1)' -v $(2)
+endef
 
 # bench re-measures the hot-path microbenchmarks and writes (or refreshes)
 # the dated baseline snapshot. Commit the file to update the baseline CI

@@ -185,32 +185,23 @@ func printSpec(rs spec.RunSpec) error {
 }
 
 // run simulates the canonical spec and writes its report to w. An ANTT
-// spec runs the multiprogrammed simulation once, inside sim.ANTTContext,
-// and reports that run.
+// spec runs the multiprogrammed simulation once, inside the runner's ANTT
+// path, and reports that run.
 func run(ctx context.Context, w io.Writer, rs spec.RunSpec, workers int, jsonOut bool, checkpoint, restore string) error {
-	mix, err := workloads.MixForSpec(rs)
-	if err != nil {
-		return err
-	}
-	factory, err := sim.FactoryForSpec(rs, mix.Cores())
-	if err != nil {
-		return err
-	}
-	opts := sim.OptionsForSpec(rs)
-	opts.Workers = engine.Workers(workers)
-
 	start := time.Now()
 	var (
 		res  sim.RunResult
 		antt float64
+		err  error
 	)
-	switch {
-	case checkpoint != "" || restore != "":
-		res, err = runCheckpointed(ctx, rs, mix, factory, opts, checkpoint, restore)
-	case rs.Options.ANTT:
-		antt, res, err = sim.ANTTContext(ctx, mix, factory, opts)
-	default:
-		res, err = sim.RunContext(ctx, mix, factory, opts)
+	if checkpoint != "" || restore != "" {
+		res, err = runCheckpointed(ctx, rs, checkpoint, restore)
+	} else {
+		// No pool: the result is read after the run returns.
+		_, err = sim.NewRunner(nil, nil, engine.Workers(workers), nil).Run(ctx, rs, func(r sim.RunResult, a float64) error {
+			res, antt = r, a
+			return nil
+		})
 	}
 	if err != nil {
 		return err
@@ -227,7 +218,7 @@ func run(ctx context.Context, w io.Writer, rs spec.RunSpec, workers int, jsonOut
 		return err
 	}
 	tbl := stats.NewTable(fmt.Sprintf("%s on %s (%d cores, %d accesses/core)",
-		r.Scheme, mix.Name, mix.Cores(), opts.AccessesPerCore), "metric", "value")
+		r.Scheme, res.Mix, len(res.PerCore), rs.Options.AccessesPerCore), "metric", "value")
 	tbl.AddRow("hit rate", stats.FmtPct(r.HitRate()))
 	tbl.AddRow("avg access latency", fmt.Sprintf("%.1f cycles", r.AvgLatency()))
 	if r.LocatorLookups > 0 {
@@ -267,7 +258,7 @@ func run(ctx context.Context, w io.Writer, rs spec.RunSpec, workers int, jsonOut
 // to a file at the warmup/measure boundary. Either way the measured
 // window runs afterwards and the results are byte-identical to a
 // straight-through run of the same spec.
-func runCheckpointed(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, factory sim.Factory, opts sim.Options, checkpoint, restore string) (sim.RunResult, error) {
+func runCheckpointed(ctx context.Context, rs spec.RunSpec, checkpoint, restore string) (sim.RunResult, error) {
 	prefix, ok, err := rs.PrefixHash()
 	if err != nil {
 		return sim.RunResult{}, err
@@ -275,7 +266,15 @@ func runCheckpointed(ctx context.Context, rs spec.RunSpec, mix workloads.Mix, fa
 	if !ok {
 		return sim.RunResult{}, fmt.Errorf("this spec has no reusable warmup prefix (-antt, or warmup disabled); -checkpoint/-restore do not apply")
 	}
-	s := sim.NewSim(mix, factory, opts)
+	mix, err := workloads.MixForSpec(rs)
+	if err != nil {
+		return sim.RunResult{}, err
+	}
+	factory, err := sim.FactoryForSpec(rs, mix.Cores())
+	if err != nil {
+		return sim.RunResult{}, err
+	}
+	s := sim.NewSim(mix, factory, sim.OptionsForSpec(rs))
 	if restore != "" {
 		blob, err := os.ReadFile(restore)
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"bimodal/internal/service"
 	"bimodal/internal/spec"
+	"bimodal/internal/store"
 	"bimodal/internal/telemetry"
 )
 
@@ -34,6 +35,7 @@ func sweep100() service.SweepRequest {
 // workers, each individually killable.
 type testCluster struct {
 	coord  *Coordinator
+	reg    *telemetry.Registry // shared by the coordinator and every worker
 	client *service.Client
 	cancel []context.CancelFunc // per-worker kill switches
 	wg     sync.WaitGroup
@@ -44,9 +46,9 @@ type testCluster struct {
 func (tc *testCluster) kill(i int) { tc.cancel[i]() }
 
 // startCluster boots a coordinator+server and n workers over real HTTP.
-// runFor builds worker i's cell runner (nil selects the production
-// simulator path).
-func startCluster(t *testing.T, n int, runFor func(i int) func(context.Context, spec.RunSpec) ([]byte, error)) *testCluster {
+// st is the store every worker shares (nil: none). runFor builds worker
+// i's cell runner (nil selects the production simulator path).
+func startCluster(t *testing.T, n int, st store.Store, runFor func(i int) func(context.Context, spec.RunSpec) ([]byte, error)) *testCluster {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	coord := New(Config{
@@ -65,7 +67,7 @@ func startCluster(t *testing.T, n int, runFor func(i int) func(context.Context, 
 	mux.Handle("/", srv.Handler())
 	hs := httptest.NewServer(mux)
 
-	tc := &testCluster{coord: coord, client: service.NewClient(hs.URL)}
+	tc := &testCluster{coord: coord, reg: reg, client: service.NewClient(hs.URL)}
 	for i := 0; i < n; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		tc.cancel = append(tc.cancel, cancel)
@@ -73,6 +75,7 @@ func startCluster(t *testing.T, n int, runFor func(i int) func(context.Context, 
 			Coordinator: hs.URL,
 			Name:        fmt.Sprintf("w%d", i),
 			Slots:       2,
+			Store:       st,
 			Metrics:     reg,
 			noLeave:     true, // kills must look like crashes
 		}
@@ -142,7 +145,7 @@ func TestClusterSweepWorkerDeath(t *testing.T) {
 	var victimCells atomic.Int32
 	wedged := make(chan struct{})
 	var once sync.Once
-	tc := startCluster(t, 3, func(i int) func(context.Context, spec.RunSpec) ([]byte, error) {
+	tc := startCluster(t, 3, nil, func(i int) func(context.Context, spec.RunSpec) ([]byte, error) {
 		if i != 0 {
 			return nil
 		}
@@ -221,7 +224,7 @@ func TestClusterStealing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster integration test")
 	}
-	tc := startCluster(t, 3, nil)
+	tc := startCluster(t, 3, nil, nil)
 	ctx := context.Background()
 	st, err := tc.client.SubmitSweep(ctx, sweep100())
 	if err != nil {
@@ -238,5 +241,49 @@ func TestClusterStealing(t *testing.T) {
 	}
 	if got := tc.coord.mCompleted.Value(); got != 100 {
 		t.Errorf("completions = %d, want 100", got)
+	}
+}
+
+// TestClusterWorkersShareWarmState runs the production worker setup —
+// bmserved -worker always has a store — with two workers sharing one
+// store on a sweep whose cells share a warmup prefix. Each worker warms
+// the prefix at most once; every other cell restores the snapshot its
+// own worker or its peer published, and the merged bytes still equal a
+// single-node run.
+func TestClusterWorkersShareWarmState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second cluster integration test")
+	}
+	const workers, cells = 2, 12
+	req := service.SweepRequest{}
+	for i := 1; i <= cells; i++ {
+		req.Specs = append(req.Specs, spec.RunSpec{
+			Scheme: "alloy", Mix: "Q1", Seed: 5,
+			Options: spec.Options{AccessesPerCore: int64(100 * i), WarmupPerCore: 600, CacheDivisor: 64},
+		})
+	}
+	baseline := singleNodeResult(t, req)
+
+	tc := startCluster(t, workers, store.NewMem(), nil)
+	ctx := context.Background()
+	st, err := tc.client.SubmitSweep(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := tc.client.WaitSweep(ctx, st.ID, 20*time.Millisecond)
+	if err != nil || fin.State != service.StateCompleted {
+		t.Fatalf("sweep: %v, state %s (%s)", err, fin.State, fin.Error)
+	}
+	if !bytes.Equal(fin.Result, baseline) {
+		t.Errorf("merged result differs from single-node baseline (%d vs %d bytes)",
+			len(fin.Result), len(baseline))
+	}
+	hits := tc.reg.Counter("bimodal_snapshot_hits_total").Value()
+	misses := tc.reg.Counter("bimodal_snapshot_misses_total").Value()
+	if hits+misses != cells {
+		t.Errorf("snapshot hits %d + misses %d = %d, want %d (one per cell)", hits, misses, hits+misses, cells)
+	}
+	if misses > workers {
+		t.Errorf("snapshot misses = %d, want at most %d (one warmup per worker)", misses, workers)
 	}
 }

@@ -20,10 +20,10 @@ import (
 
 // Worker is a thin pull loop around the simulator: it joins a
 // coordinator, long-polls for cells, runs each one through
-// service.RunCellSpec (marshaling the result exactly once — those bytes
-// travel unmodified into the merged sweep), and reports back. A worker
-// holds no sweep state; killing one loses nothing but the cells it was
-// running, which the coordinator requeues after the liveness TTL.
+// service.NewCellRunner (marshaling the result exactly once — those
+// bytes travel unmodified into the merged sweep), and reports back. A
+// worker holds no sweep state; killing one loses nothing but the cells it
+// was running, which the coordinator requeues after the liveness TTL.
 type Worker struct {
 	// Coordinator is the coordinator's base URL ("http://host:port").
 	Coordinator string
@@ -38,10 +38,9 @@ type Worker struct {
 	// disables the local store pass.
 	Store store.Store
 	// Run executes one cell — a test seam. Nil selects the production
-	// simulator path: with a Store configured, service.NewWarmCellRunner
-	// (cells restore warm-state snapshots produced locally or by peers
-	// sharing the store instead of re-running warmup); otherwise plain
-	// service.RunCellSpec.
+	// simulator path, service.NewCellRunner over Store: cells restore
+	// warm-state snapshots produced locally or by peers sharing the store
+	// instead of re-running warmup (a nil Store only disables that).
 	Run func(ctx context.Context, rs spec.RunSpec) ([]byte, error)
 	// Metrics receives worker instrumentation. Nil selects
 	// telemetry.Default.
@@ -78,11 +77,7 @@ func (w *Worker) Serve(ctx context.Context) error {
 	}
 	run := w.Run
 	if run == nil {
-		if w.Store != nil {
-			run = service.NewWarmCellRunner(w.Store, metrics)
-		} else {
-			run = service.RunCellSpec
-		}
+		run = service.NewCellRunner(w.Store, metrics)
 	}
 	s := &workerSession{
 		base:    w.Coordinator,

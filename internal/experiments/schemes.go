@@ -65,25 +65,21 @@ func (o Options) cellSpec(mix workloads.Mix, scheme string, params spec.Params) 
 	}
 }
 
-// run simulates a cell spec on fresh simulators: the multiprogrammed run,
-// plus every benchmark standalone when the spec asks for ANTT, fanned out
-// over o.Workers. The ANTT value is 0 otherwise.
-func (o Options) run(ctx context.Context, rs spec.RunSpec) (float64, sim.RunResult, error) {
-	mix, err := workloads.MixForSpec(rs)
-	if err != nil {
-		return 0, sim.RunResult{}, err
-	}
-	f, err := sim.FactoryForSpec(rs, mix.Cores())
-	if err != nil {
-		return 0, sim.RunResult{}, err
-	}
-	so := sim.OptionsForSpec(rs)
-	so.Workers = o.Workers
-	if rs.Options.ANTT {
-		return sim.ANTTContext(ctx, mix, f, so)
-	}
-	res, err := sim.RunContext(ctx, mix, f, so)
-	return 0, res, err
+// run simulates a cell spec: the multiprogrammed run, plus every
+// benchmark standalone when the spec asks for ANTT, fanned out over
+// o.Workers. The ANTT value is 0 otherwise.
+//
+// The runner has no pool, so every cell builds fresh simulators and the
+// result may outlive the run. Pooling the cells through one process-wide
+// RunPool kept every golden identical but raised paper-regen's
+// heap_peak_mb from 114–130 MB to 173–209 MB, beyond the benchmark's 25%
+// bound.
+func (o Options) run(ctx context.Context, rs spec.RunSpec) (antt float64, res sim.RunResult, err error) {
+	_, err = sim.NewRunner(nil, nil, o.Workers, nil).Run(ctx, rs, func(r sim.RunResult, a float64) error {
+		res, antt = r, a
+		return nil
+	})
+	return antt, res, err
 }
 
 // anttCell builds an engine cell computing one spec's ANTT.

@@ -121,15 +121,8 @@ type Dispatcher interface {
 // canonical specs); results are marshaled exactly once so every node
 // produces identical bytes for identical specs.
 func RunCellSpec(ctx context.Context, rs spec.RunSpec) ([]byte, error) {
-	mix, err := workloads.MixForSpec(rs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := cellSpec{mix: mix, rs: rs}.run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return marshalResultJSON(res)
+	raw, _, err := runCell(ctx, cellRunner, rs)
+	return raw, err
 }
 
 // SweepList is the paginated reply of GET /v1/sweeps.
@@ -297,40 +290,3 @@ type cellSpec struct {
 
 // label identifies the cell in progress events.
 func (c cellSpec) label() string { return c.mix.Name + " " + c.rs.Scheme }
-
-// run executes the cell through the spec layer: sim.FactoryForSpec
-// applies the same run-length scaling rule as cmd/bmsim, so service
-// results line up with CLI results. Cell-internal fan-out stays serial
-// (Workers 1): the service parallelizes across cells, and the serial path
-// keeps the deterministic code path shortest.
-func (c cellSpec) run(ctx context.Context) (CellResult, error) {
-	factory, err := sim.FactoryForSpec(c.rs, c.mix.Cores())
-	if err != nil {
-		return CellResult{}, err
-	}
-	so := sim.OptionsForSpec(c.rs)
-	so.Workers = 1
-	if c.rs.Options.ANTT {
-		antt, multi, err := sim.ANTTContext(ctx, c.mix, factory, so)
-		if err != nil {
-			return CellResult{}, err
-		}
-		cr := NewCellResult(c.rs.Scheme, multi)
-		cr.ANTT = antt
-		return cr, nil
-	}
-	s := runPool.Get(poolSchemeKey(c.rs), c.mix, factory, so)
-	if err := s.Warmup(ctx); err != nil {
-		return CellResult{}, err
-	}
-	res, err := s.Measure(ctx)
-	if err != nil {
-		return CellResult{}, err
-	}
-	// NewCellResult must read res (which aliases the live scheme) before
-	// Put makes the simulator eligible for a concurrent Reset. Failed runs
-	// never reach Put: their partial state is discarded with the Sim.
-	cr := NewCellResult(c.rs.Scheme, res)
-	runPool.Put(s)
-	return cr, nil
-}

@@ -2,46 +2,56 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"sort"
-	"strconv"
 	"sync"
 
 	"bimodal/internal/sim"
 	"bimodal/internal/spec"
+	"bimodal/internal/store"
+	"bimodal/internal/telemetry"
 )
 
 // runPool recycles fully-constructed simulators across the cells this
-// process runs — service sweep workers and cluster workers all route
-// through it. Pool reuse is bounded and keyed per geometry (scheme +
-// params + mix + run shape, seed excluded), and a pooled run is
-// byte-identical to a fresh one (internal/sim's golden tests), so the pool
-// can never change result bytes — only construction cost.
+// process runs: RunCellSpec, server sweep cells and cluster workers all
+// draw from it through their sim.Runner. Pool reuse is bounded and keyed
+// per geometry (scheme + params + mix + run shape, seed excluded), and a
+// pooled run is byte-identical to a fresh one (internal/sim's golden
+// tests), so the pool can never change result bytes, only construction
+// cost. Every runner over it keeps cell-internal fan-out serial (Workers
+// 1): the service parallelizes across cells, and the serial path keeps
+// the deterministic code path shortest.
 var runPool = sim.NewRunPool(0)
 
-// poolSchemeKey derives the RunPool scheme key for a canonical run spec.
-// The scheme name alone is not enough: spec params shape the built scheme
-// (geometry and option overrides) beyond what sim.Options capture, and two
-// factories must never share a pool key unless they build identically.
-// Params are canonical (sorted, minimal), so the key is deterministic.
-func poolSchemeKey(rs spec.RunSpec) string {
-	if len(rs.Params) == 0 {
-		return rs.Scheme
+// cellRunner backs RunCellSpec: the process-wide pool, no warm sharing.
+var cellRunner = sim.NewRunner(runPool, nil, 1, nil)
+
+// NewCellRunner returns a cell function over the process-wide pool and
+// st, for cluster workers: with a store shared across the cluster, cells
+// restore warm snapshots a peer already produced instead of re-running
+// warmup. A nil st only disables warm sharing; reg receives the snapshot
+// counters.
+func NewCellRunner(st store.Store, reg *telemetry.Registry) func(context.Context, spec.RunSpec) ([]byte, error) {
+	r := sim.NewRunner(runPool, st, 1, reg)
+	return func(ctx context.Context, rs spec.RunSpec) ([]byte, error) {
+		raw, _, err := runCell(ctx, r, rs)
+		return raw, err
 	}
-	keys := make([]string, 0, len(rs.Params))
-	for k := range rs.Params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b []byte
-	b = append(b, rs.Scheme...)
-	for _, k := range keys {
-		b = append(b, '?')
-		b = append(b, k...)
-		b = append(b, '=')
-		b = strconv.AppendInt(b, rs.Params[k], 10)
-	}
-	return string(b)
+}
+
+// runCell executes one canonical run spec through r and returns its
+// compact CellResult JSON, marshaled before the simulator goes back to
+// the pool. warm reports whether a restored snapshot replaced the
+// warmup window.
+func runCell(ctx context.Context, r *sim.Runner, rs spec.RunSpec) (raw []byte, warm bool, err error) {
+	warm, err = r.Run(ctx, rs, func(res sim.RunResult, antt float64) error {
+		c := NewCellResult(rs.Scheme, res)
+		c.ANTT = antt
+		var merr error
+		raw, merr = marshalResultJSON(c)
+		return merr
+	})
+	return raw, warm, err
 }
 
 // encBufs backs marshalResultJSON with reusable encoder buffers: result

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"bimodal/internal/sim"
 	"bimodal/internal/spec"
 	"bimodal/internal/store"
 	"bimodal/internal/telemetry"
@@ -72,7 +73,7 @@ type Server struct {
 	cancel context.CancelFunc // cancels in-flight work on forced shutdown
 	queue  chan *sweep
 	store  store.Store
-	warm   *WarmRunner
+	runner *sim.Runner
 	wg     sync.WaitGroup
 
 	mu         sync.Mutex
@@ -117,7 +118,7 @@ func New(cfg Config) *Server {
 	// In-process sweep cells share warmup work through the warm-state
 	// checkpoint subsystem; snapshot blobs live beside result bytes in
 	// the content-addressed store (prefix hashes are domain-separated).
-	s.warm = NewWarmRunner(s.store, reg)
+	s.runner = sim.NewRunner(runPool, s.store, 1, reg)
 	// The run context is handed to each worker rather than stored on the
 	// Server: contexts are call-scoped (bmctxhygiene), and the only
 	// holder that needs it is the worker call tree.

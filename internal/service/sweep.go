@@ -202,15 +202,15 @@ func (s *Server) executeSweep(ctx context.Context, sw *sweep) ([]byte, error) {
 }
 
 // dispatchCell routes one store-miss cell to the configured dispatcher,
-// or runs it in-process through the warm runner when none is configured.
-// The returned origin is "run", or "warm" when a restored warm snapshot
-// replaced the cell's warmup phase.
+// or runs it in-process through the server's store-backed runner when
+// none is configured. The returned origin is "run", or "warm" when a
+// restored warm snapshot replaced the cell's warmup phase.
 func (s *Server) dispatchCell(ctx context.Context, sw *sweep, i int) ([]byte, string, error) {
 	if s.cfg.Dispatcher != nil {
 		raw, err := s.cfg.Dispatcher.RunCell(ctx, sw.cells[i].rs, sw.hashes[i])
 		return raw, "run", err
 	}
-	raw, warm, err := s.warm.RunCell(ctx, sw.cells[i].rs)
+	raw, warm, err := runCell(ctx, s.runner, sw.cells[i].rs)
 	origin := "run"
 	if warm {
 		origin = "warm"

@@ -158,6 +158,14 @@ func TestWarmRunnerFallsBackOnCorruptSnapshot(t *testing.T) {
 	if string(stored) != string(cold) {
 		t.Error("fallback result differs from cold run")
 	}
+	// The corrupt blob never replaced a warmup, so it is no hit; the
+	// cold fallback ran the warmup, which is a miss.
+	if got := s.Registry().Counter("bimodal_snapshot_hits_total").Value(); got != 0 {
+		t.Errorf("snapshot hits = %d after a failed restore, want 0", got)
+	}
+	if got := s.Registry().Counter("bimodal_snapshot_misses_total").Value(); got != 1 {
+		t.Errorf("snapshot misses = %d, want 1 (the cold fallback)", got)
+	}
 }
 
 // TestWarmRunnerSkipsANTT pins the no-prefix path: ANTT cells run cold
@@ -174,7 +182,7 @@ func TestWarmRunnerSkipsANTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, warm, err := s.warm.RunCell(context.Background(), rs)
+	raw, warm, err := runCell(context.Background(), s.runner, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +192,7 @@ func TestWarmRunnerSkipsANTT(t *testing.T) {
 	if len(raw) == 0 {
 		t.Error("empty cell result")
 	}
-	if n := s.warm.misses.Value(); n != 0 {
+	if n := s.Registry().Counter("bimodal_snapshot_misses_total").Value(); n != 0 {
 		t.Errorf("snapshot misses = %d after an ANTT cell, want 0", n)
 	}
 }
