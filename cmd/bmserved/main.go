@@ -8,12 +8,14 @@
 //
 //   - default: a self-contained node; sweep cells simulate in-process.
 //   - -coordinator: additionally serves the cluster control plane under
-//     /cluster/v1 and dispatches sweep cells to joined workers, sharded
-//     by consistent hashing on the canonical spec hash. With no workers
-//     joined, cells wait for one.
+//     /cluster/v1 and puts sweep cells the store cannot answer on one
+//     queue that every joined worker pulls from. With no workers joined,
+//     cells wait for one.
 //   - -worker -join URL: a headless cell runner; joins the coordinator at
 //     URL, long-polls for cells, simulates them and reports the bytes.
-//     No public API is served in this mode.
+//     No public API is served in this mode, and the worker caches no
+//     results: its -store-dir only shares warm-state snapshots with
+//     peers pointed at the same directory.
 //
 // Every failure response uses the uniform v1 error envelope
 // {"error":{"code","message","details"}}; see internal/service.
@@ -63,7 +65,7 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-sweep wall-clock cap (0 = none)")
 		maxSweep     = flag.Int("max-sweep-cells", 10000, "max cells per sweep (-1 = unlimited)")
 		retryAfter   = flag.Duration("retry-after", time.Second, "back-off hint attached to 429 rejections")
-		storeDir     = flag.String("store-dir", "", "directory for the content-addressed result store, the server's one result cache (empty = in-memory)")
+		storeDir     = flag.String("store-dir", "", "directory for the content-addressed result store, the server's one result cache; a -worker only shares warm-state snapshots there (empty = in-memory)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain may take before in-flight sweeps are cancelled")
 
 		coordinator = flag.Bool("coordinator", false, "serve the cluster control plane and dispatch sweep cells to joined workers")
@@ -169,8 +171,9 @@ func main() {
 }
 
 // openStore selects the content-addressed store: a shared on-disk store
-// (any node pointed at the same directory answers the same spec hashes)
-// or a per-process in-memory one.
+// (servers pointed at the same directory answer the same spec hashes,
+// and workers share warm-state snapshots) or a per-process in-memory
+// one.
 func openStore(dir string) (store.Store, error) {
 	if dir == "" {
 		return store.NewMem(), nil

@@ -1,8 +1,23 @@
+// Package cluster distributes sweep cells across worker processes.
+//
+// A Coordinator embeds in the job server (it implements
+// service.Dispatcher, so the sweep executor hands it every cell the
+// content-addressed store cannot answer) and keeps those cells on one
+// FIFO queue that every live worker pulls from. Workers are thin pull
+// loops around service.NewCellRunner: join, long-poll for tasks, run,
+// report bytes. Because result bytes are a pure function of the
+// canonical RunSpec (the determinism contract the simulator packages
+// enforce), where a cell runs only changes speed — a sweep merged from
+// three workers is byte-identical to the same sweep run on one node, and
+// the goldens prove it. The sweep server's store is the cluster's one
+// result cache: it answers repeated spec hashes before anything is
+// dispatched, so a worker never sees a cell whose bytes already exist.
 package cluster
 
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -22,9 +37,10 @@ type Config struct {
 	// PollWait bounds how long an idle pull request is held open before
 	// the coordinator answers 204 (long-poll). Default 10s.
 	PollWait time.Duration
-	// MaxAttempts caps how many workers a cell may be handed to before the
-	// coordinator gives up and fails it (each requeue after a worker death
-	// burns one attempt). Default 3.
+	// MaxAttempts caps how many workers may die running a cell before the
+	// coordinator gives up and fails it, so a cell that kills its workers
+	// cannot bounce between them forever. A clean leave is not a death.
+	// Default 3.
 	MaxAttempts int
 	// Metrics receives the coordinator's instrumentation.
 	// Default telemetry.Default.
@@ -68,13 +84,10 @@ type task struct {
 	id   string
 	rs   spec.RunSpec
 	hash string
-	// owner is the worker whose queue holds the task (pending) or that is
-	// running it. Empty while orphaned (no workers registered).
-	owner string
-	// running flips when a worker pulls the task.
-	running bool
-	// attempts counts workers the task has been handed to.
-	attempts int
+	// worker is the worker running the task; empty while it is pending.
+	worker string
+	// deaths counts workers that died while running the task.
+	deaths int
 	// result receives exactly one send (buffered so a report never blocks
 	// on a caller that already gave up).
 	result chan taskResult
@@ -84,42 +97,45 @@ type task struct {
 type workerState struct {
 	id       string
 	name     string
-	queue    []*task          // pending cells placed on this worker
 	running  map[string]*task // pulled, awaiting report
 	lastSeen time.Time
-	// waiters are parked pull requests, woken (FIFO) when work arrives.
-	waiters []chan *task
-	qGauge  *telemetry.Gauge
 }
 
-// depth is the worker's total outstanding load (queued + running).
-func (w *workerState) depth() int { return len(w.queue) + len(w.running) }
+// waiter is one parked pull request.
+type waiter struct {
+	w  *workerState
+	ch chan *task
+}
 
-// Coordinator shards sweep cells across registered workers. It implements
-// service.Dispatcher, so a service.Server configured with one transparently
-// fans cells out to the fleet; with no workers joined, cells wait (they are
-// "orphans") until one arrives. Create with New, release with Close.
+// Coordinator hands sweep cells to registered workers from one FIFO
+// queue. It implements service.Dispatcher, so a service.Server configured
+// with one transparently fans cells out to the fleet; with no workers
+// joined, cells wait on the queue until one arrives. Create with New,
+// release with Close.
 type Coordinator struct {
 	cfg Config
 
 	mu      sync.Mutex
-	ring    ring
 	workers map[string]*workerState
 	tasks   map[string]*task // pending + running, by task ID
-	orphans []*task          // cells with no worker to sit on
-	seq     int              // task ID source
-	wseq    int              // worker ID source
+	queue   []*task          // pending cells, oldest first
+	// waiters are parked pulls, served oldest first. Work only parks a
+	// pull when the queue is empty, and new work goes to a waiter before
+	// the queue, so at most one of queue and waiters is non-empty.
+	waiters []waiter
+	seq     int // task ID source
+	wseq    int // worker ID source
 	closed  bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
 
 	mWorkers     *telemetry.Gauge
+	mQueue       *telemetry.Gauge
 	mJoined      *telemetry.Counter
 	mDead        *telemetry.Counter
 	mDispatched  *telemetry.Counter
 	mCompleted   *telemetry.Counter
-	mStolen      *telemetry.Counter
 	mRequeued    *telemetry.Counter
 	mFailed      *telemetry.Counter
 	mLateReports *telemetry.Counter
@@ -135,11 +151,11 @@ func New(cfg Config) *Coordinator {
 		stop:    make(chan struct{}),
 
 		mWorkers:     cfg.Metrics.Gauge("bimodal_cluster_workers"),
+		mQueue:       cfg.Metrics.Gauge("bimodal_cluster_queue_depth"),
 		mJoined:      cfg.Metrics.Counter("bimodal_cluster_workers_joined_total"),
 		mDead:        cfg.Metrics.Counter("bimodal_cluster_workers_dead_total"),
 		mDispatched:  cfg.Metrics.Counter("bimodal_cluster_cells_dispatched_total"),
 		mCompleted:   cfg.Metrics.Counter("bimodal_cluster_cells_completed_total"),
-		mStolen:      cfg.Metrics.Counter("bimodal_cluster_cells_stolen_total"),
 		mRequeued:    cfg.Metrics.Counter("bimodal_cluster_cells_requeued_total"),
 		mFailed:      cfg.Metrics.Counter("bimodal_cluster_cells_failed_total"),
 		mLateReports: cfg.Metrics.Counter("bimodal_cluster_late_reports_total"),
@@ -163,25 +179,24 @@ func (c *Coordinator) Close() {
 		t.result <- taskResult{err: fmt.Errorf("cluster: coordinator closed")}
 	}
 	c.tasks = map[string]*task{}
-	c.orphans = nil
+	c.setQueueLocked(nil)
 	for _, w := range c.workers {
-		w.queue = nil
 		w.running = map[string]*task{}
-		for _, ch := range w.waiters {
-			close(ch)
-		}
-		w.waiters = nil
 	}
+	for _, wt := range c.waiters {
+		close(wt.ch)
+	}
+	c.waiters = nil
 	c.mu.Unlock()
 	c.wg.Wait()
 }
 
-// RunCell implements service.Dispatcher: it enqueues the cell on the ring
-// owner's queue and blocks until a worker reports the result bytes, the
-// cell exhausts its attempts, or ctx ends. The returned bytes are exactly
-// what the executing worker marshaled — the coordinator never re-encodes
-// them, which is what keeps merged sweeps byte-identical across
-// placements.
+// RunCell implements service.Dispatcher: it queues the cell and blocks
+// until a worker reports the result bytes, the cell exhausts its
+// attempts, or ctx ends. The returned bytes are exactly what the
+// executing worker marshaled — the coordinator never re-encodes them,
+// which is what keeps merged sweeps byte-identical whichever worker ran
+// each cell.
 func (c *Coordinator) RunCell(ctx context.Context, rs spec.RunSpec, hash string) ([]byte, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -196,7 +211,7 @@ func (c *Coordinator) RunCell(ctx context.Context, rs spec.RunSpec, hash string)
 		result: make(chan taskResult, 1),
 	}
 	c.tasks[t.id] = t
-	c.placeLocked(t)
+	c.pendLocked(t)
 	c.mu.Unlock()
 
 	select {
@@ -209,7 +224,7 @@ func (c *Coordinator) RunCell(ctx context.Context, rs spec.RunSpec, hash string)
 }
 
 // abandon withdraws a task whose caller gave up. A pending task leaves
-// its queue; a running task stays with its worker, whose eventual report
+// the queue; a running task stays with its worker, whose eventual report
 // is dropped as late.
 func (c *Coordinator) abandon(t *task) {
 	c.mu.Lock()
@@ -218,90 +233,46 @@ func (c *Coordinator) abandon(t *task) {
 		return
 	}
 	delete(c.tasks, t.id)
-	if t.running {
-		if w := c.workers[t.owner]; w != nil {
-			delete(w.running, t.id)
-			w.qGauge.Set(int64(w.depth()))
-		}
+	if t.worker == "" {
+		c.setQueueLocked(removeTask(c.queue, t))
 		return
 	}
-	if t.owner == "" {
-		c.orphans = removeTask(c.orphans, t)
-		return
-	}
-	if w := c.workers[t.owner]; w != nil {
-		w.queue = removeTask(w.queue, t)
-		w.qGauge.Set(int64(w.depth()))
+	if w := c.workers[t.worker]; w != nil {
+		delete(w.running, t.id)
 	}
 }
 
-// placeLocked assigns a pending task to the ring owner of its spec hash,
-// waking a parked pull if one is available. With an empty ring the task
-// joins the orphan list until a worker registers.
-func (c *Coordinator) placeLocked(t *task) {
-	t.running = false
-	owner := c.ring.owner(t.hash)
-	if owner == "" {
-		t.owner = ""
-		c.orphans = append(c.orphans, t)
+// pendLocked makes t pending: it goes straight to the oldest parked pull
+// if there is one, else to the back of the queue.
+func (c *Coordinator) pendLocked(t *task) {
+	t.worker = ""
+	if len(c.waiters) > 0 {
+		wt := c.waiters[0]
+		c.waiters = c.waiters[1:]
+		c.startLocked(wt.w, t)
+		wt.ch <- t
 		return
 	}
-	t.owner = owner
-	w := c.workers[owner]
-	w.queue = append(w.queue, t)
-	w.qGauge.Set(int64(w.depth()))
-	c.wakeLocked(w)
+	c.setQueueLocked(append(c.queue, t))
 }
 
-// wakeLocked hands queued work to parked pulls. The owner's own waiters
-// drain first; remaining work then goes to any other parked worker (an
-// enqueue-time steal), so no worker idles while a peer's queue is
-// non-empty.
-func (c *Coordinator) wakeLocked(w *workerState) {
-	for len(w.queue) > 0 && len(w.waiters) > 0 {
-		ch := w.waiters[0]
-		w.waiters = w.waiters[1:]
-		ch <- c.takeLocked(w, w)
-	}
-	if len(w.queue) == 0 {
-		return
-	}
-	for _, other := range c.workers {
-		if other == w {
-			continue
-		}
-		for len(w.queue) > 0 && len(other.waiters) > 0 {
-			ch := other.waiters[0]
-			other.waiters = other.waiters[1:]
-			ch <- c.takeLocked(other, w)
-		}
-		if len(w.queue) == 0 {
-			return
-		}
-	}
-}
-
-// takeLocked moves the head of victim's queue into taker's running set
-// and returns it. A cross-worker take is counted as a steal.
-func (c *Coordinator) takeLocked(taker, victim *workerState) *task {
-	t := victim.queue[0]
-	victim.queue = victim.queue[1:]
-	t.owner = taker.id
-	t.running = true
-	t.attempts++
-	taker.running[t.id] = t
-	taker.lastSeen = c.cfg.Now()
-	victim.qGauge.Set(int64(victim.depth()))
-	taker.qGauge.Set(int64(taker.depth()))
+// startLocked records that w now runs t.
+func (c *Coordinator) startLocked(w *workerState, t *task) {
+	t.worker = w.id
+	w.running[t.id] = t
+	w.lastSeen = c.cfg.Now()
 	c.mDispatched.Inc()
-	if taker != victim {
-		c.mStolen.Inc()
-	}
-	return t
+}
+
+// setQueueLocked replaces the pending queue and publishes its depth.
+func (c *Coordinator) setQueueLocked(q []*task) {
+	c.queue = q
+	c.mQueue.Set(int64(len(q)))
 }
 
 // Join registers a worker and returns its ID plus the liveness window it
-// must heartbeat within. Orphaned cells are re-placed immediately.
+// must heartbeat within. The worker's first pull takes the oldest
+// pending cell, so cells queued before any worker existed start now.
 func (c *Coordinator) Join(name string) (id string, ttl time.Duration, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -310,22 +281,14 @@ func (c *Coordinator) Join(name string) (id string, ttl time.Duration, err error
 	}
 	c.wseq++
 	id = fmt.Sprintf("worker-%04d", c.wseq)
-	w := &workerState{
+	c.workers[id] = &workerState{
 		id:       id,
 		name:     name,
 		running:  map[string]*task{},
 		lastSeen: c.cfg.Now(),
-		qGauge:   c.cfg.Metrics.Gauge(fmt.Sprintf("bimodal_cluster_queue_depth{worker=%q}", id)),
 	}
-	c.workers[id] = w
-	c.ring.add(id)
 	c.mJoined.Inc()
 	c.mWorkers.Set(int64(len(c.workers)))
-	orphans := c.orphans
-	c.orphans = nil
-	for _, t := range orphans {
-		c.placeLocked(t)
-	}
 	return id, c.cfg.TTL, nil
 }
 
@@ -347,10 +310,9 @@ func (c *Coordinator) Heartbeat(id string) error {
 // 410 worker_gone.
 var ErrUnknownWorker = fmt.Errorf("cluster: unknown worker")
 
-// Pull hands the worker its next cell. Order: the worker's own queue,
-// then a steal from the most-loaded peer's queue, then parking for up to
-// the coordinator's PollWait (or until ctx ends) in case work arrives.
-// A nil task with nil error means "nothing available, poll again".
+// Pull hands the worker the oldest pending cell, or parks for up to the
+// coordinator's PollWait (or until ctx ends) in case work arrives. A nil
+// task with nil error means "nothing available, poll again".
 func (c *Coordinator) Pull(ctx context.Context, id string) (*Task, error) {
 	c.mu.Lock()
 	w := c.workers[id]
@@ -359,12 +321,16 @@ func (c *Coordinator) Pull(ctx context.Context, id string) (*Task, error) {
 		return nil, ErrUnknownWorker
 	}
 	w.lastSeen = c.cfg.Now()
-	if t := c.pullLocked(w); t != nil {
+	if len(c.queue) > 0 {
+		t := c.queue[0]
+		c.queue[0] = nil // let the backing array forget the task
+		c.setQueueLocked(c.queue[1:])
+		c.startLocked(w, t)
 		c.mu.Unlock()
 		return exportTask(t), nil
 	}
 	ch := make(chan *task, 1)
-	w.waiters = append(w.waiters, ch)
+	c.waiters = append(c.waiters, waiter{w: w, ch: ch})
 	c.mu.Unlock()
 
 	wait := time.NewTimer(c.cfg.PollWait)
@@ -383,12 +349,10 @@ func (c *Coordinator) Pull(ctx context.Context, id string) (*Task, error) {
 	// if a task was handed over at the same moment.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur := c.workers[id]; cur == w {
-		w.waiters = removeWaiter(w.waiters, ch)
-	}
+	c.waiters = removeWaiter(c.waiters, ch)
 	select {
 	case t, ok := <-ch:
-		if ok && t != nil {
+		if ok {
 			return exportTask(t), nil
 		}
 	default:
@@ -396,46 +360,24 @@ func (c *Coordinator) Pull(ctx context.Context, id string) (*Task, error) {
 	return nil, ctx.Err()
 }
 
-// pullLocked dequeues work for w: own queue first, else the head of the
-// most-loaded peer queue (work stealing).
-func (c *Coordinator) pullLocked(w *workerState) *task {
-	if len(w.queue) > 0 {
-		return c.takeLocked(w, w)
-	}
-	var victim *workerState
-	for _, other := range c.workers {
-		if other == w || len(other.queue) == 0 {
-			continue
-		}
-		if victim == nil || other.depth() > victim.depth() ||
-			(other.depth() == victim.depth() && other.id < victim.id) {
-			victim = other
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	return c.takeLocked(w, victim)
-}
-
 // Report delivers a worker's result for a task. Late or duplicate reports
-// — the task finished elsewhere after a requeue, or the caller abandoned
-// it — are dropped idempotently: reporting is always safe.
+// — the task was requeued and now waits or runs elsewhere, or the caller
+// abandoned it — are dropped idempotently: reporting is always safe.
 func (c *Coordinator) Report(workerID, taskID string, blob []byte, workErr error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if w := c.workers[workerID]; w != nil {
+	w := c.workers[workerID]
+	if w != nil {
 		w.lastSeen = c.cfg.Now()
 	}
 	t := c.tasks[taskID]
-	if t == nil || !t.running || t.owner != workerID {
+	if t == nil || t.worker == "" || t.worker != workerID {
 		c.mLateReports.Inc()
 		return
 	}
 	delete(c.tasks, taskID)
-	if w := c.workers[workerID]; w != nil {
+	if w != nil {
 		delete(w.running, taskID)
-		w.qGauge.Set(int64(w.depth()))
 	}
 	c.mCompleted.Inc()
 	t.result <- taskResult{blob: blob, err: workErr}
@@ -469,9 +411,8 @@ func (c *Coordinator) reapLoop() {
 	}
 }
 
-// reapOnce requeues the cells of every worker whose liveness window has
-// lapsed. Requeued in-flight cells burn one attempt; a cell over the
-// attempt budget fails instead of bouncing between dying workers forever.
+// reapOnce declares dead every worker whose liveness window has lapsed
+// and requeues its cells.
 func (c *Coordinator) reapOnce() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -485,39 +426,38 @@ func (c *Coordinator) reapOnce() {
 	}
 }
 
-// dropWorkerLocked removes a worker and redistributes its cells. Every
-// in-flight cell moved back to pending counts as a requeue; died
-// additionally burns an attempt per in-flight cell (a reap is a failure,
-// a voluntary leave is not) and enforces the attempt budget.
+// dropWorkerLocked removes a worker, releases its parked pulls and puts
+// its in-flight cells back on the queue, each counted as a requeue. When
+// the worker died, each of those cells records a death, and a cell that
+// reaches MaxAttempts deaths fails instead of being requeued.
 func (c *Coordinator) dropWorkerLocked(w *workerState, died bool) {
 	delete(c.workers, w.id)
-	c.ring.remove(w.id)
 	c.mWorkers.Set(int64(len(c.workers)))
-	c.cfg.Metrics.Remove(fmt.Sprintf("bimodal_cluster_queue_depth{worker=%q}", w.id))
-	for _, ch := range w.waiters {
-		close(ch)
+	kept := c.waiters[:0]
+	for _, wt := range c.waiters {
+		if wt.w == w {
+			close(wt.ch)
+		} else {
+			kept = append(kept, wt)
+		}
 	}
-	w.waiters = nil
+	c.waiters = kept
 
-	again := append([]*task(nil), w.queue...)
-	w.queue = nil
 	for id, t := range w.running {
 		delete(w.running, id)
 		c.mRequeued.Inc()
 		if died {
-			if t.attempts >= c.cfg.MaxAttempts {
+			t.deaths++
+			if t.deaths >= c.cfg.MaxAttempts {
 				delete(c.tasks, t.id)
 				c.mFailed.Inc()
 				t.result <- taskResult{err: fmt.Errorf(
 					"cluster: cell %s failed on %d workers (last: %s died)",
-					t.hash, t.attempts, w.id)}
+					t.hash, t.deaths, w.id)}
 				continue
 			}
 		}
-		again = append(again, t)
-	}
-	for _, t := range again {
-		c.placeLocked(t)
+		c.pendLocked(t)
 	}
 }
 
@@ -536,30 +476,19 @@ func exportTask(t *task) *Task {
 type WorkerInfo struct {
 	ID      string `json:"id"`
 	Name    string `json:"name,omitempty"`
-	Queued  int    `json:"queued"`
 	Running int    `json:"running"`
 }
 
-// Workers lists the registered workers sorted by ID, plus the count of
-// orphaned cells waiting for any worker at all.
-func (c *Coordinator) Workers() (workers []WorkerInfo, orphans int) {
+// Workers lists the registered workers sorted by ID, plus the number of
+// pending cells waiting for any worker to pull them.
+func (c *Coordinator) Workers() (workers []WorkerInfo, pending int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, w := range c.workers {
-		workers = append(workers, WorkerInfo{
-			ID: w.id, Name: w.name, Queued: len(w.queue), Running: len(w.running),
-		})
+		workers = append(workers, WorkerInfo{ID: w.id, Name: w.name, Running: len(w.running)})
 	}
-	sortWorkers(workers)
-	return workers, len(c.orphans)
-}
-
-func sortWorkers(ws []WorkerInfo) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].ID < ws[j-1].ID; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
+	sort.Slice(workers, func(i, j int) bool { return workers[i].ID < workers[j].ID })
+	return workers, len(c.queue)
 }
 
 // removeTask filters t out of a queue, preserving order.
@@ -573,9 +502,9 @@ func removeTask(q []*task, t *task) []*task {
 }
 
 // removeWaiter filters ch out of a waiter list, preserving order.
-func removeWaiter(ws []chan *task, ch chan *task) []chan *task {
+func removeWaiter(ws []waiter, ch chan *task) []waiter {
 	for i, cur := range ws {
-		if cur == ch {
+		if cur.ch == ch {
 			return append(ws[:i], ws[i+1:]...)
 		}
 	}

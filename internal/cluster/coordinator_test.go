@@ -113,14 +113,14 @@ func TestCoordinatorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCoordinatorOrphans parks cells submitted before any worker exists
-// and places them on the first join.
+// TestCoordinatorOrphans queues cells submitted before any worker exists
+// and hands them to the first worker that joins.
 func TestCoordinatorOrphans(t *testing.T) {
 	c, _ := newTestCoordinator(t, Config{})
 	res := dispatch(context.Background(), c, 7)
 	waitFor(t, func() bool {
-		_, orphans := c.Workers()
-		return orphans == 1
+		_, pending := c.Workers()
+		return pending == 1
 	})
 	w1, _, err := c.Join("late")
 	if err != nil {
@@ -133,25 +133,29 @@ func TestCoordinatorOrphans(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSteal: all pending work sits on one worker's queue; a
-// newly joined idle worker must steal from it.
+// TestCoordinatorSteal: cells queued while one worker was registered are
+// not bound to it — a newly joined idle worker takes every one of them,
+// oldest first.
 func TestCoordinatorSteal(t *testing.T) {
 	c, _ := newTestCoordinator(t, Config{})
-	w1, _, _ := c.Join("loaded")
+	c.Join("busy")
 	ctx := context.Background()
 	var results []chan taskResult
 	for seed := uint64(1); seed <= 4; seed++ {
 		results = append(results, dispatch(ctx, c, seed))
+		// Queue in seed order so the FIFO order is known.
+		waitFor(t, func() bool {
+			_, pending := c.Workers()
+			return pending == int(seed)
+		})
 	}
-	// Wait until every cell is queued on w1.
-	waitFor(t, func() bool {
-		ws, _ := c.Workers()
-		return len(ws) == 1 && ws[0].Queued == 4
-	})
 
 	w2, _, _ := c.Join("idle")
-	for i := 0; i < 4; i++ {
-		task := pull(t, c, w2) // own queue empty: steals from w1
+	for seed := uint64(1); seed <= 4; seed++ {
+		task := pull(t, c, w2)
+		if task.Spec.Seed != seed {
+			t.Errorf("pull %d took seed %d, want the oldest pending cell", seed, task.Spec.Seed)
+		}
 		c.Report(w2, task.ID, []byte(`{}`), nil)
 	}
 	for _, res := range results {
@@ -159,10 +163,9 @@ func TestCoordinatorSteal(t *testing.T) {
 			t.Fatal(r.err)
 		}
 	}
-	if got := c.mStolen.Value(); got != 4 {
-		t.Errorf("stolen = %d, want 4", got)
+	if _, pending := c.Workers(); pending != 0 {
+		t.Errorf("pending = %d, want 0", pending)
 	}
-	_ = w1
 }
 
 // TestCoordinatorReapRequeue kills a worker holding an in-flight cell by
@@ -264,6 +267,40 @@ func TestCoordinatorLeaveRequeues(t *testing.T) {
 	}
 }
 
+// TestCoordinatorLeaveDoesNotBurnAttempt: only deaths count against
+// MaxAttempts. A cell held by two workers that leave cleanly and one that
+// dies still runs on a fourth.
+func TestCoordinatorLeaveDoesNotBurnAttempt(t *testing.T) {
+	c, clk := newTestCoordinator(t, Config{TTL: time.Second, MaxAttempts: 2})
+	res := dispatch(context.Background(), c, 17)
+	for i := 0; i < 2; i++ {
+		w, _, _ := c.Join(fmt.Sprintf("leaver-%d", i))
+		pull(t, c, w)
+		if err := c.Leave(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doomed, _, _ := c.Join("doomed")
+	pull(t, c, doomed)
+	clk.advance(2 * time.Second)
+	c.reapOnce()
+	select {
+	case r := <-res:
+		t.Fatalf("cell ended after one death: %q, %v", r.blob, r.err)
+	default:
+	}
+
+	w4, _, _ := c.Join("survivor")
+	task := pull(t, c, w4)
+	c.Report(w4, task.ID, []byte(`{}`), nil)
+	if r := <-res; r.err != nil {
+		t.Fatalf("RunCell err = %v, want success after one death", r.err)
+	}
+	if got := c.mFailed.Value(); got != 0 {
+		t.Errorf("failed = %d, want 0", got)
+	}
+}
+
 // TestCoordinatorCancelWithdraws removes an abandoned pending cell so no
 // worker ever runs it.
 func TestCoordinatorCancelWithdraws(t *testing.T) {
@@ -272,16 +309,16 @@ func TestCoordinatorCancelWithdraws(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	res := dispatch(ctx, c, 11)
 	waitFor(t, func() bool {
-		ws, _ := c.Workers()
-		return len(ws) == 1 && ws[0].Queued == 1
+		_, pending := c.Workers()
+		return pending == 1
 	})
 	cancel()
 	if r := <-res; !errors.Is(r.err, context.Canceled) {
 		t.Fatalf("RunCell err = %v, want context.Canceled", r.err)
 	}
 	waitFor(t, func() bool {
-		ws, _ := c.Workers()
-		return ws[0].Queued == 0
+		_, pending := c.Workers()
+		return pending == 0
 	})
 	pctx, pcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer pcancel()
@@ -308,7 +345,7 @@ func TestCoordinatorLongPollHandoff(t *testing.T) {
 	waitFor(t, func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return len(c.workers[w1].waiters) == 1
+		return len(c.waiters) == 1
 	})
 	res := dispatch(context.Background(), c, 13)
 	p := <-got

@@ -19,7 +19,7 @@ import (
 
 // sweep100 is the acceptance sweep: 100 explicit cells (seeds 1..100 of
 // one scheme/mix), small enough to simulate in CI but wide enough to
-// shard across every worker.
+// spread across every worker.
 func sweep100() service.SweepRequest {
 	req := service.SweepRequest{}
 	for seed := uint64(1); seed <= 100; seed++ {
@@ -45,9 +45,11 @@ type testCluster struct {
 // crash path, recovered by the liveness reaper.
 func (tc *testCluster) kill(i int) { tc.cancel[i]() }
 
-// startCluster boots a coordinator+server and n workers over real HTTP.
-// st is the store every worker shares (nil: none). runFor builds worker
-// i's cell runner (nil selects the production simulator path).
+// startCluster boots a coordinator+server and n workers over real HTTP
+// and returns once every worker has joined. st is the store the server
+// and every worker share, as with a shared -store-dir (nil: the server
+// keeps a private in-memory store and workers have none). runFor builds
+// worker i's cell runner (nil selects the production simulator path).
 func startCluster(t *testing.T, n int, st store.Store, runFor func(i int) func(context.Context, spec.RunSpec) ([]byte, error)) *testCluster {
 	t.Helper()
 	reg := telemetry.NewRegistry()
@@ -61,6 +63,7 @@ func startCluster(t *testing.T, n int, st store.Store, runFor func(i int) func(c
 		Workers:     1,
 		SweepFanout: 16,
 		Dispatcher:  coord,
+		Store:       st,
 	})
 	mux := http.NewServeMux()
 	mux.Handle("/cluster/", coord.Handler())
@@ -99,6 +102,10 @@ func startCluster(t *testing.T, n int, st store.Store, runFor func(i int) func(c
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
+	waitFor(t, func() bool {
+		ws, _ := coord.Workers()
+		return len(ws) == n
+	})
 	return tc
 }
 
@@ -127,7 +134,7 @@ func singleNodeResult(t *testing.T, req service.SweepRequest) []byte {
 }
 
 // TestClusterSweepWorkerDeath is the acceptance scenario: a 100-cell
-// sweep shards over 3 workers, one worker is killed mid-run, and still
+// sweep spreads over 3 workers, one worker is killed mid-run, and still
 // (a) every cell completes exactly once, (b) the merged result is
 // byte-identical to a single-node run, (c) the requeue is visible in
 // telemetry, and (d) an immediate identical resweep is 100% store-served
@@ -170,7 +177,7 @@ func TestClusterSweepWorkerDeath(t *testing.T) {
 	select {
 	case <-wedged:
 	case <-time.After(30 * time.Second):
-		t.Fatal("worker 0 never wedged — placement sent it no sixth cell")
+		t.Fatal("worker 0 never wedged — the queue sent it no sixth cell")
 	}
 	tc.kill(0)
 
@@ -218,13 +225,24 @@ func TestClusterSweepWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestClusterStealing saturates one worker's shard and checks that idle
-// peers steal rather than sit out the sweep.
+// TestClusterStealing checks that the shared queue keeps every worker
+// busy: with 3 workers pulling from one queue, each completes at least
+// one of the sweep's cells.
 func TestClusterStealing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second cluster integration test")
 	}
-	tc := startCluster(t, 3, nil, nil)
+	const workers = 3
+	var done [workers]atomic.Int32
+	tc := startCluster(t, workers, nil, func(i int) func(context.Context, spec.RunSpec) ([]byte, error) {
+		return func(ctx context.Context, rs spec.RunSpec) ([]byte, error) {
+			blob, err := service.RunCellSpec(ctx, rs)
+			if err == nil {
+				done[i].Add(1)
+			}
+			return blob, err
+		}
+	})
 	ctx := context.Background()
 	st, err := tc.client.SubmitSweep(ctx, sweep100())
 	if err != nil {
@@ -234,13 +252,57 @@ func TestClusterStealing(t *testing.T) {
 	if err != nil || fin.State != service.StateCompleted {
 		t.Fatalf("sweep: %v, state %+v", err, fin.State)
 	}
-	// With 16-way fanout against 3 workers × 2 slots, queues are uneven
-	// enough that at least one pull must have crossed shards.
-	if got := tc.coord.mStolen.Value(); got == 0 {
-		t.Error("no cells were stolen across workers")
+	for i := range done {
+		if n := done[i].Load(); n == 0 {
+			t.Errorf("worker %d completed no cells", i)
+		}
 	}
 	if got := tc.coord.mCompleted.Value(); got != 100 {
 		t.Errorf("completions = %d, want 100", got)
+	}
+}
+
+// countingStore counts Puts per hash in front of a real store.
+type countingStore struct {
+	store.Store
+	mu   sync.Mutex
+	puts map[string]int
+}
+
+func (s *countingStore) Put(hash string, blob []byte) error {
+	s.mu.Lock()
+	s.puts[hash]++
+	s.mu.Unlock()
+	return s.Store.Put(hash, blob)
+}
+
+// TestClusterOneStoreWritePerResult shares one store between the sweep
+// server and two workers, as a shared -store-dir does, and checks that
+// each cell's result is written once: by the sweep server, the one
+// result cache, not again by the worker that ran it.
+func TestClusterOneStoreWritePerResult(t *testing.T) {
+	req := sweep100()
+	req.Specs = req.Specs[:20]
+	st := &countingStore{Store: store.NewMem(), puts: map[string]int{}}
+	tc := startCluster(t, 2, st, nil)
+	ctx := context.Background()
+	sub, err := tc.client.SubmitSweep(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := tc.client.WaitSweep(ctx, sub.ID, 20*time.Millisecond)
+	if err != nil || fin.State != service.StateCompleted {
+		t.Fatalf("sweep: %v, state %s (%s)", err, fin.State, fin.Error)
+	}
+	if len(fin.SpecHashes) != len(req.Specs) {
+		t.Fatalf("spec hashes = %d, want %d", len(fin.SpecHashes), len(req.Specs))
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, h := range fin.SpecHashes {
+		if n := st.puts[h]; n != 1 {
+			t.Errorf("cell %s put %d times, want 1", h, n)
+		}
 	}
 }
 

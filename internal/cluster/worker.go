@@ -32,15 +32,15 @@ type Worker struct {
 	// Slots is the number of concurrent pull loops (parallel cells).
 	// 0 selects GOMAXPROCS.
 	Slots int
-	// Store optionally short-circuits cells whose result bytes are already
-	// present locally (a shared content-addressed store lets any node
-	// answer any spec hash). Completed cells are written back. Nil
-	// disables the local store pass.
+	// Store holds warm-state snapshots, shared with peers pointed at the
+	// same store through service.NewCellRunner: cells restore a snapshot
+	// produced locally or by a peer instead of re-running warmup. Result
+	// bytes are never cached here — the sweep server's store is the one
+	// result cache and answers repeated spec hashes before dispatch. Nil
+	// disables warm sharing.
 	Store store.Store
 	// Run executes one cell — a test seam. Nil selects the production
-	// simulator path, service.NewCellRunner over Store: cells restore
-	// warm-state snapshots produced locally or by peers sharing the store
-	// instead of re-running warmup (a nil Store only disables that).
+	// simulator path, service.NewCellRunner over Store.
 	Run func(ctx context.Context, rs spec.RunSpec) ([]byte, error)
 	// Metrics receives worker instrumentation. Nil selects
 	// telemetry.Default.
@@ -84,10 +84,8 @@ func (w *Worker) Serve(ctx context.Context) error {
 		name:    w.Name,
 		hc:      hc,
 		run:     run,
-		store:   w.Store,
 		noLeave: w.noLeave,
 		mCells:  metrics.Counter("bimodal_worker_cells_total"),
-		mLocal:  metrics.Counter("bimodal_worker_store_hits_total"),
 		mRejoin: metrics.Counter("bimodal_worker_rejoins_total"),
 	}
 	for {
@@ -105,18 +103,16 @@ func (w *Worker) Serve(ctx context.Context) error {
 
 // workerSession is one registration's worth of state.
 type workerSession struct {
-	base  string
-	name  string
-	hc    *http.Client
-	run   func(ctx context.Context, rs spec.RunSpec) ([]byte, error)
-	store store.Store
+	base string
+	name string
+	hc   *http.Client
+	run  func(ctx context.Context, rs spec.RunSpec) ([]byte, error)
 
 	id      string
 	ttl     time.Duration
 	noLeave bool
 
 	mCells  *telemetry.Counter
-	mLocal  *telemetry.Counter
 	mRejoin *telemetry.Counter
 }
 
@@ -204,7 +200,7 @@ func (s *workerSession) pullLoop(ctx context.Context) error {
 			continue // empty long-poll window
 		}
 		s.mCells.Inc()
-		blob, runErr := s.runCell(ctx, t)
+		blob, runErr := s.run(ctx, t.Spec)
 		if ctx.Err() != nil {
 			// Killed mid-cell: do not report; the coordinator requeues.
 			return context.Cause(ctx)
@@ -220,28 +216,6 @@ func (s *workerSession) pullLoop(ctx context.Context) error {
 			return fmt.Errorf("cluster: reporting %s: %w", t.ID, err)
 		}
 	}
-}
-
-// runCell produces the cell's result bytes: from the local
-// content-addressed store when possible, else by simulating. Fresh bytes
-// are written back so the next node asking for this spec hash is served
-// from storage.
-func (s *workerSession) runCell(ctx context.Context, t Task) ([]byte, error) {
-	if s.store != nil {
-		if blob, ok, err := s.store.Get(t.Hash); err == nil && ok {
-			s.mLocal.Inc()
-			return blob, nil
-		}
-	}
-	blob, err := s.run(ctx, t.Spec)
-	if err != nil {
-		return nil, err
-	}
-	if s.store != nil {
-		// Best-effort: a store write failure must not fail the cell.
-		_ = s.store.Put(t.Hash, blob)
-	}
-	return blob, nil
 }
 
 // pull long-polls for one task; found is false on an empty 204 window.

@@ -144,22 +144,11 @@ type soloGenerator struct{ trace.Generator }
 // ANTTContext runs the mix multiprogrammed and each benchmark standalone,
 // returning the ANTT value and the multiprogrammed result; it stops
 // promptly when ctx ends. The multiprogrammed run and the per-benchmark
-// standalone runs are all independent simulations; with o.Workers > 1
-// they execute concurrently (the multiprogrammed run as one cell beside
-// the standalone cells).
+// standalone runs are all independent simulations, so they fan out over
+// o.Workers goroutines as one cell each (engine.Map runs them serially,
+// in index order, at one worker).
 func ANTTContext(ctx context.Context, mix workloads.Mix, factory Factory, o Options) (float64, RunResult, error) {
 	o = o.normalize()
-	if o.Workers <= 1 {
-		multi, err := RunContext(ctx, mix, factory, o)
-		if err != nil {
-			return 0, RunResult{}, err
-		}
-		single, err := RunStandaloneContext(ctx, mix, factory, o)
-		if err != nil {
-			return 0, RunResult{}, err
-		}
-		return cpu.ANTT(multi.PerCore, single), multi, nil
-	}
 	var multi RunResult
 	single := make([]cpu.CoreResult, mix.Cores())
 	// Cell 0 is the multiprogrammed run; cells 1..n are the standalones.
@@ -172,9 +161,7 @@ func ANTTContext(ctx context.Context, mix workloads.Mix, factory Factory, o Opti
 			multi = m
 			return struct{}{}, nil
 		}
-		so := o
-		so.Workers = 1
-		out, err := standaloneOne(ctx, mix, factory, so, i-1)
+		out, err := standaloneOne(ctx, mix, factory, o, i-1)
 		if err != nil {
 			return struct{}{}, err
 		}

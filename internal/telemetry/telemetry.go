@@ -7,8 +7,8 @@
 //
 // Metric names may carry a fixed label set inline, Prometheus-style:
 //
-//	reg.Counter(`bimodal_sweeps_submitted_total`)
-//	reg.Gauge(`bimodal_cluster_queue_depth{worker="worker-0001"}`)
+//	reg.Gauge(`bimodal_cluster_queue_depth`)
+//	reg.Counter(`http_requests_total{code="429"}`)
 //
 // The registry treats the full string as the metric identity and splits
 // the base name back out only when rendering TYPE lines.
@@ -183,21 +183,6 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	h := newHistogram(bounds)
 	r.hists[name] = h
 	return h
-}
-
-// Remove unregisters the metric named name, whatever its kind, so its
-// series stops being exported. Removing an unknown name is a no-op.
-// Callers that still hold a pointer to the removed metric may keep
-// updating it; the updates are simply no longer rendered. This exists for
-// per-entity series with bounded-but-changing membership — e.g. the
-// cluster's per-worker queue gauges, dropped when a worker leaves or is
-// declared dead — so the exposition does not accumulate dead series.
-func (r *Registry) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.counters, name)
-	delete(r.gauges, name)
-	delete(r.hists, name)
 }
 
 // checkFree panics when name is already registered as another kind.
