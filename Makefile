@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint vet test race fuzz-smoke snapshot-golden bench bench-compare
+.PHONY: all build lint vet test race fuzz-smoke snapshot-golden bench
 
 all: build lint test
 
@@ -55,13 +55,10 @@ define run-golden
 	$(GO) test -run '$(1)' -v $(2)
 endef
 
-# bench re-measures the hot-path microbenchmarks and writes (or refreshes)
-# the dated baseline snapshot. Commit the file to update the baseline CI
-# compares against.
+# bench is the same-host benchmark A/B: it builds the root package's test
+# binary from HEAD and from the working tree, runs every registered
+# microbenchmark from both in interleaved pairs, and fails when a case is
+# slower beyond the pairs' noise (cmd/bmbench). Allocation counts are
+# pinned exactly by internal/bench's tests, so `make test` covers them.
 bench:
-	$(GO) run ./cmd/bmbench -runs 5
-
-# bench-compare measures and compares against the newest committed
-# BENCH_*.json, failing on >10% ns/op regression or any new allocation.
-bench-compare:
-	$(GO) run ./cmd/bmbench -runs 5 -out - -baseline "$$(ls BENCH_*.json | sort | tail -n1)"
+	$(GO) run ./cmd/bmbench -base HEAD

@@ -78,9 +78,9 @@ func BenchmarkSweepPredictor(b *testing.B)    { benchExperiment(b, "sweep-predic
 
 // --- microbenchmarks of the simulator's hot paths ---
 //
-// Bodies live in internal/bench, shared with the bmbench regression
-// runner: `go test -bench` here and a committed BENCH_<date>.json baseline
-// measure exactly the same code. See each case's doc comment there.
+// Bodies live in internal/bench, shared with its exact allocation pins;
+// the bmbench same-host A/B gate builds this package's test binary at two
+// revisions and times these functions. See each case's doc comment there.
 
 func BenchmarkBiModalAccess(b *testing.B)          { bench.Run(b, "BiModalAccess") }
 func BenchmarkBiModalAccessMissHeavy(b *testing.B) { bench.Run(b, "BiModalAccessMissHeavy") }

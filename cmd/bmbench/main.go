@@ -1,66 +1,53 @@
-// Command bmbench is the benchmark-regression harness: it runs the
-// registered hot-path microbenchmarks (internal/bench — the same bodies
-// `go test -bench` runs) several times each, takes the median, and writes
-// a timestamped JSON snapshot. Given a baseline snapshot it compares and
-// exits non-zero when any case regresses beyond the tolerance, so CI can
-// gate merges on hot-path performance.
+// Command bmbench is the benchmark-regression gate: a same-host A/B of the
+// registered hot-path microbenchmarks (internal/bench) between a git ref
+// and the working tree.
+//
+// It builds the root package's test binary twice, once from a temporary
+// git worktree checked out at -base and once from the working tree, and
+// runs each case's Benchmark function from both binaries in -pairs
+// interleaved pairs, alternating which side runs first. Each pair gives
+// one head/base ns/op ratio; drift of the host between pairs cancels out
+// of the ratio, and no figure from another host is ever involved. For each
+// case it prints the ratios, their median and a bootstrap interval of the
+// median, and exits 1 when some case is slower beyond doubt (see
+// verdict). The bootstrap seed is fixed, so a verdict can be replayed from
+// the printed samples.
+//
+// Allocations are not compared here: the allocation pins in
+// internal/bench's tests count them exactly.
 //
 // Examples:
 //
-//	bmbench                                  # run all, write BENCH_<date>.json
-//	bmbench -filter Access -runs 3           # subset, quick
-//	bmbench -baseline BENCH_2026-08-06.json  # compare, exit 1 on >10% regression
-//	bmbench -list                            # show registered cases
+//	bmbench                       # working tree vs HEAD, every case
+//	bmbench -base origin/main     # working tree vs another ref
+//	bmbench -filter BiModalAccess # a subset, quick
+//	bmbench -list                 # show registered cases
 //
-// Medians over -runs repetitions damp scheduler noise; allocation counts
-// are compared exactly (any new allocation on a zero-alloc path fails).
+// Exit status: 0 no regression, 1 regression, 2 the A/B could not run.
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
-	"testing"
-	"time"
 
 	"bimodal/internal/bench"
 )
 
-// caseResult is one benchmark's recorded outcome (the median repetition).
-type caseResult struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Iterations  int     `json:"iterations"`
-}
-
-// snapshot is the BENCH_<date>.json schema.
-type snapshot struct {
-	Date      string                `json:"date"`
-	GoVersion string                `json:"go"`
-	GOOS      string                `json:"goos"`
-	GOARCH    string                `json:"goarch"`
-	Runs      int                   `json:"runs"`
-	Benchtime string                `json:"benchtime"`
-	Results   map[string]caseResult `json:"results"`
-}
-
 func main() {
 	var (
-		runs      = flag.Int("runs", 5, "repetitions per case; the median is recorded")
-		benchtime = flag.String("benchtime", "1s", "target time per repetition (forwarded to the testing package)")
+		base      = flag.String("base", "HEAD", "git ref to compare the working tree against")
+		pairs     = flag.Int("pairs", 20, "interleaved base/head runs per case (at least 10)")
+		benchtime = flag.String("benchtime", "0.2s", "target time per benchmark run (the test binary's -test.benchtime)")
 		filter    = flag.String("filter", "", "only run cases whose name contains this substring")
-		out       = flag.String("out", "", "snapshot output path (default BENCH_<date>.json; '-' suppresses)")
-		baseline  = flag.String("baseline", "", "compare against this snapshot; exit 1 on regression")
-		tolerance = flag.Float64("tolerance", 0.10, "allowed fractional ns/op regression vs the baseline")
-		ratchet   = flag.String("ratchet", "EndToEndMix,EndToEndMixPooled,SweepPooled", "comma-separated cases whose ns/op and allocs/op may only ratchet down: no tolerance band, any increase over the baseline fails")
 		list      = flag.Bool("list", false, "list registered cases and exit")
 	)
-	testing.Init() // registers -test.* flags so benchtime can be set below
 	flag.Parse()
 
 	if *list {
@@ -69,159 +56,160 @@ func main() {
 		}
 		return
 	}
-	if *runs < 1 {
-		fatal(fmt.Errorf("bmbench: -runs must be >= 1"))
+	if *pairs < 10 {
+		fatal(fmt.Errorf("bmbench: -pairs must be at least 10, got %d", *pairs))
 	}
-	if err := flag.Set("test.benchtime", *benchtime); err != nil {
-		fatal(fmt.Errorf("bmbench: bad -benchtime %q: %w", *benchtime, err))
-	}
-
-	snap := snapshot{
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Runs:      *runs,
-		Benchtime: *benchtime,
-		Results:   map[string]caseResult{},
-	}
+	var names []string
 	for _, c := range bench.Cases() {
-		if *filter != "" && !strings.Contains(c.Name, *filter) {
-			continue
+		if strings.Contains(c.Name, *filter) {
+			names = append(names, c.Name)
 		}
-		r := measure(c, *runs)
-		snap.Results[c.Name] = r
-		fmt.Printf("%-24s %12.1f ns/op %8d B/op %6d allocs/op\n",
-			c.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
-	if len(snap.Results) == 0 {
+	if len(names) == 0 {
 		fatal(fmt.Errorf("bmbench: no cases match -filter %q", *filter))
 	}
-
-	if *out != "-" {
-		path := *out
-		if path == "" {
-			path = "BENCH_" + snap.Date + ".json"
-		}
-		if err := writeSnapshot(path, snap); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "bmbench: wrote %s\n", path)
+	regressed, err := run(*base, names, *pairs, *benchtime)
+	if err != nil {
+		fatal(err)
 	}
-
-	if *baseline != "" {
-		base, err := readSnapshot(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		ratcheted := map[string]bool{}
-		for _, n := range strings.Split(*ratchet, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				ratcheted[n] = true
-			}
-		}
-		if !compare(base, snap, *tolerance, ratcheted) {
-			os.Exit(1)
-		}
+	if regressed {
+		os.Exit(1)
 	}
 }
 
-// measure runs one case `runs` times and returns the repetition with the
-// median ns/op.
-func measure(c bench.Case, runs int) caseResult {
-	results := make([]testing.BenchmarkResult, 0, runs)
-	for i := 0; i < runs; i++ {
-		r := testing.Benchmark(c.Run)
-		if r.N == 0 {
-			fatal(fmt.Errorf("bmbench: %s did not run (failed inside the benchmark body?)", c.Name))
-		}
-		results = append(results, r)
-	}
-	sort.Slice(results, func(i, j int) bool {
-		return float64(results[i].T)/float64(results[i].N) < float64(results[j].T)/float64(results[j].N)
-	})
-	m := results[len(results)/2]
-	return caseResult{
-		NsPerOp:     float64(m.T.Nanoseconds()) / float64(m.N),
-		AllocsPerOp: m.AllocsPerOp(),
-		BytesPerOp:  m.AllocedBytesPerOp(),
-		Iterations:  m.N,
-	}
+// side is one of the two builds under comparison.
+type side struct {
+	name string // "base" or "head"
+	dir  string // source tree the binary was built from; runs start there
+	bin  string // the root package's test binary
 }
 
-// compare reports whether current holds up against base: every shared case
-// must stay within tolerance on ns/op and must not allocate more per op.
-// Ratcheted cases get no tolerance band at all — their ns/op and allocs/op
-// may only move down, so refreshing the committed baseline can only lower
-// the bar for them. Cases present only on one side are reported but never
-// fail the run, so adding or retiring a benchmark does not require a
-// synchronized baseline update.
-func compare(base, cur snapshot, tolerance float64, ratcheted map[string]bool) bool {
-	names := make([]string, 0, len(cur.Results))
-	for n := range cur.Results {
-		names = append(names, n)
+// run builds both sides, measures every case in interleaved pairs and
+// prints the per-case verdicts. It reports whether any case regressed.
+func run(base string, names []string, pairs int, benchtime string) (bool, error) {
+	top, err := output("", "git", "rev-parse", "--show-toplevel")
+	if err != nil {
+		return false, err
 	}
-	sort.Strings(names)
-	ok := true
-	var allocBase, allocCur int64
-	fmt.Printf("\ncomparison vs baseline (%s, tolerance %.0f%%):\n", base.Date, tolerance*100)
+	top = strings.TrimSpace(top)
+	tmp, err := os.MkdirTemp("", "bmbench-")
+	if err != nil {
+		return false, fmt.Errorf("bmbench: %w", err)
+	}
+	defer os.RemoveAll(tmp)
+
+	tree := filepath.Join(tmp, "base")
+	if _, err := output(top, "git", "worktree", "add", "--detach", tree, base); err != nil {
+		return false, err
+	}
+	defer output(top, "git", "worktree", "remove", "--force", tree)
+
+	sides := [2]side{
+		{"base", tree, filepath.Join(tmp, "base.test")},
+		{"head", top, filepath.Join(tmp, "head.test")},
+	}
+	for _, s := range sides {
+		fmt.Fprintf(os.Stderr, "bmbench: building %s test binary\n", s.name)
+		if _, err := output(s.dir, "go", "test", "-c", "-trimpath", "-o", s.bin, "."); err != nil {
+			return false, err
+		}
+	}
+	list, err := output(tree, sides[0].bin, "-test.list", "^Benchmark")
+	if err != nil {
+		return false, err
+	}
+	inBase := map[string]bool{}
+	for _, f := range strings.Fields(list) {
+		inBase[f] = true
+	}
+	var cases []string
 	for _, n := range names {
-		c := cur.Results[n]
-		b, inBase := base.Results[n]
-		if !inBase {
-			fmt.Printf("  %-24s new case, no baseline\n", n)
-			continue
-		}
-		allocBase += b.AllocsPerOp
-		allocCur += c.AllocsPerOp
-		tol := tolerance
-		tag := ""
-		if ratcheted[n] {
-			tol = 0
-			tag = " [ratchet]"
-		}
-		delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp
-		switch {
-		case c.AllocsPerOp > b.AllocsPerOp:
-			ok = false
-			fmt.Printf("  %-24s FAIL: %d allocs/op (baseline %d)%s\n", n, c.AllocsPerOp, b.AllocsPerOp, tag)
-		case delta > tol:
-			ok = false
-			fmt.Printf("  %-24s FAIL: %+.1f%% (%.1f -> %.1f ns/op)%s\n", n, delta*100, b.NsPerOp, c.NsPerOp, tag)
-		default:
-			fmt.Printf("  %-24s ok:   %+.1f%% (%.1f -> %.1f ns/op)%s\n", n, delta*100, b.NsPerOp, c.NsPerOp, tag)
+		if inBase["Benchmark"+n] {
+			cases = append(cases, n)
+		} else {
+			fmt.Printf("%-24s new case, not in %s: skipped\n", n, base)
 		}
 	}
-	for n := range base.Results {
-		if _, inCur := cur.Results[n]; !inCur {
-			fmt.Printf("  %-24s in baseline but not run\n", n)
+
+	ratios := make(map[string][]float64, len(cases))
+	for p := 0; p < pairs; p++ {
+		fmt.Fprintf(os.Stderr, "bmbench: pair %d/%d\n", p+1, pairs)
+		for i, n := range cases {
+			order := [2]int{0, 1}
+			if (p+i)%2 == 1 {
+				order = [2]int{1, 0}
+			}
+			var ns [2]float64
+			for _, k := range order {
+				if ns[k], err = nsPerOp(sides[k], n, benchtime); err != nil {
+					return false, err
+				}
+			}
+			ratios[n] = append(ratios[n], ns[1]/ns[0])
 		}
 	}
-	fmt.Printf("alloc-delta: %d -> %d allocs/op across shared cases (%+d)\n", allocBase, allocCur, allocCur-allocBase)
-	if !ok {
-		fmt.Println("bmbench: REGRESSION — rerun on a quiet machine, or update the baseline with `make bench` if the change is intended")
+
+	regressed := false
+	fmt.Printf("head (working tree) vs base (%s): median head/base ns/op over %d pairs, %.0f%% bootstrap interval; fails when the interval lies above 1 and the median above %.2f\n",
+		base, pairs, 100*confidence, 1+slowdownBound)
+	for _, n := range cases {
+		v := verdict(ratios[n])
+		status := "ok  "
+		if v.regressed {
+			status = "FAIL"
+			regressed = true
+		}
+		fmt.Printf("%-24s %s %+6.1f%% [%+6.1f%%, %+6.1f%%]  ratios %s\n", n, status,
+			100*(v.median-1), 100*(v.lo-1), 100*(v.hi-1), formatRatios(ratios[n]))
 	}
-	return ok
+	if regressed {
+		fmt.Println("bmbench: REGRESSION — head is slower than base beyond the bound")
+	}
+	return regressed, nil
 }
 
-func writeSnapshot(path string, s snapshot) error {
-	b, err := json.MarshalIndent(s, "", "  ")
+// benchLine matches one result line of a test binary's -test.bench output,
+// e.g. "BenchmarkBiModalAccess   2634782   141.2 ns/op".
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+
+// nsPerOp runs one case's benchmark once from s's binary. GOMAXPROCS is
+// 1, so the collector's work is timed with the op rather than hidden on
+// another core whose availability varies from run to run; the timeout
+// turns a hung benchmark into an error.
+func nsPerOp(s side, name, benchtime string) (float64, error) {
+	out, err := output(s.dir, s.bin, "-test.run", "^$", "-test.bench", "^Benchmark"+name+"$",
+		"-test.benchtime", benchtime, "-test.cpu", "1", "-test.timeout", "10m")
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	for _, line := range strings.Split(out, "\n") {
+		if m := benchLine.FindStringSubmatch(line); m != nil && m[1] == name {
+			return strconv.ParseFloat(m[2], 64)
+		}
+	}
+	return 0, fmt.Errorf("bmbench: %s: no result for Benchmark%s in:\n%s", s.name, name, out)
 }
 
-func readSnapshot(path string) (snapshot, error) {
-	var s snapshot
-	b, err := os.ReadFile(path)
+// output runs a command in dir and returns its stdout; a failure carries
+// the command's stderr.
+func output(dir, name string, args ...string) (string, error) {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return s, fmt.Errorf("bmbench: %w", err)
+		return "", fmt.Errorf("bmbench: %s %s: %w\n%s%s", name, strings.Join(args, " "), err, out, stderr.Bytes())
 	}
-	if err := json.Unmarshal(b, &s); err != nil {
-		return s, fmt.Errorf("bmbench: parsing %s: %w", path, err)
+	return string(out), nil
+}
+
+func formatRatios(rs []float64) string {
+	parts := make([]string, len(rs))
+	for i, r := range rs {
+		parts[i] = strconv.FormatFloat(r, 'f', 4, 64)
 	}
-	return s, nil
+	return strings.Join(parts, " ")
 }
 
 func fatal(err error) {

@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"bimodal/internal/dramcache"
+	"bimodal/internal/spec"
 	"bimodal/internal/stats"
 	"bimodal/internal/trace"
 )
@@ -44,7 +45,7 @@ func main() {
 		gz      = flag.Bool("gzip", false, "gzip-compress the output trace (implied by a .gz output name)")
 		inspect = flag.String("inspect", "", "trace file to analyze")
 		replay  = flag.String("replay", "", "trace file to replay")
-		scheme  = flag.String("scheme", "bimodal", "scheme for -replay")
+		scheme  = flag.String("scheme", "bimodal", "registered scheme, alias or preset for -replay")
 	)
 	flag.Parse()
 
@@ -218,41 +219,40 @@ func inspectTrace(path string) error {
 }
 
 func replayTrace(path, schemeName string) error {
-	f, err := os.Open(path)
+	rep, err := replay(path, schemeName)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r, err := trace.NewReader(f, path)
-	if err != nil {
-		return err
-	}
-	cfg := dramcache.DefaultConfig(4)
-	var s dramcache.Scheme
-	switch schemeName {
-	case "bimodal":
-		s = dramcache.NewBiModal(cfg)
-	case "alloy":
-		s = dramcache.NewAlloy(cfg)
-	case "lohhill":
-		s = dramcache.NewLohHill(cfg)
-	case "atcache":
-		s = dramcache.NewATCache(cfg)
-	case "footprint":
-		s = dramcache.NewFootprint(cfg)
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeName)
-	}
-	now := int64(0)
-	for _, a := range r.Records() {
-		now += int64(a.Gap)
-		s.Access(dramcache.Request{Addr: a.Addr, Write: a.Write}, now)
-	}
-	rep := s.Report()
 	tbl := stats.NewTable(fmt.Sprintf("%s on %s (%d accesses)", rep.Scheme, path, rep.Accesses), "metric", "value")
 	tbl.AddRow("hit rate", stats.FmtPct(rep.HitRate()))
 	tbl.AddRow("avg read latency", fmt.Sprintf("%.1f cycles", rep.AvgLatency()))
 	tbl.AddRow("off-chip traffic", stats.FmtBytes(float64(rep.OffchipBytes())))
 	fmt.Print(tbl)
 	return nil
+}
+
+// replay drives the trace at path through the registered scheme (or
+// alias, or preset) named schemeName, built with the paper defaults on a
+// quad-core configuration, and returns its report.
+func replay(path, schemeName string) (dramcache.Report, error) {
+	d, err := spec.Lookup(schemeName)
+	if err != nil {
+		return dramcache.Report{}, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return dramcache.Report{}, err
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f, path)
+	if err != nil {
+		return dramcache.Report{}, err
+	}
+	s := d.Factory()(dramcache.DefaultConfig(4))
+	now := int64(0)
+	for _, a := range r.Records() {
+		now += int64(a.Gap)
+		s.Access(dramcache.Request{Addr: a.Addr, Write: a.Write}, now)
+	}
+	return s.Report(), nil
 }

@@ -1,7 +1,7 @@
 // Package hotpath implements the bmlint analyzer that structurally guards
-// the simulator's zero-allocation hot paths (PR 3's 0 allocs/op wins,
-// enforced at runtime by testing.AllocsPerRun and the bmbench regression
-// gate; enforced here at vet time).
+// the simulator's zero-allocation hot paths. At run time the allocation
+// pins in internal/bench (testing.AllocsPerRun, exact counts) enforce
+// them; this analyzer enforces them at vet time.
 //
 // Roots are function declarations annotated //bmlint:hotpath. The
 // analyzer computes the set of functions statically reachable from the

@@ -1,13 +1,15 @@
-// Package bench registers the hot-path microbenchmarks once, shared by two
-// harnesses: the `go test -bench` benchmarks in bench_test.go and the
-// bmbench regression runner. Both execute exactly these bodies, so a
-// BENCH_<date>.json baseline written by bmbench is directly comparable to
-// what `go test -bench` prints.
+// Package bench registers the hot-path microbenchmarks once, shared by
+// three harnesses: the `go test -bench` benchmarks in bench_test.go, the
+// exact allocation pins in this package's tests, and the bmbench same-host
+// A/B gate (which times bench_test.go's benchmarks from two builds). Every
+// case is a setup that returns a loop over its op, so the benchmark times
+// and the pin counts exactly the same operation.
 package bench
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	bimodal "bimodal"
@@ -25,13 +27,27 @@ import (
 
 // Case is one registered microbenchmark.
 type Case struct {
-	// Name is the identifier used in baselines and -filter; it matches the
-	// Benchmark<Name> function in bench_test.go.
+	// Name is the identifier used by -filter and the allocation pins; it
+	// matches the Benchmark<Name> function in bench_test.go.
 	Name string
 	// Info is a one-line description for bmbench -list.
 	Info string
-	// Run is the benchmark body.
-	Run func(b *testing.B)
+	// Setup builds the case's state and returns run, which performs the
+	// case's op n times. The loop lives inside run, so a nanosecond op is
+	// timed without an indirect call per iteration. Failures inside run
+	// report through tb.
+	Setup func(tb testing.TB) (run func(n int))
+}
+
+// Run is the benchmark body: set up, then time b.N ops. A collection
+// between the two keeps a cycle that setup's allocations started from
+// running, and being timed, alongside the ops.
+func (c Case) Run(b *testing.B) {
+	run := c.Setup(b)
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
 }
 
 // Cases returns every registered case, in a fixed order.
@@ -78,20 +94,27 @@ var cases = []Case{
 	{"TraceNextInterleave4", "4-tenant weighted interleaver with a shared hot region", traceNextCase("interleave4")},
 }
 
-// biModalAccess measures one end-to-end scheme access (functional cache +
-// way locator + DRAM timing).
-func biModalAccess(b *testing.B) {
+// schemeAccess returns the loop over one end-to-end scheme access
+// (functional cache + way locator + DRAM timing) driven by a synthetic
+// profile.
+func schemeAccess(s dramcache.Scheme, profile string) func(int) {
+	g := trace.NewSynthetic(trace.MustProfile(profile), 0, 1)
+	now := int64(0)
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			a := g.Next()
+			now += int64(a.Gap)
+			s.Access(dramcache.Request{Addr: a.Addr, Write: a.Write}, now)
+		}
+	}
+}
+
+// biModalAccess measures one end-to-end Bi-Modal access on a
+// mixed-locality workload.
+func biModalAccess(testing.TB) func(int) {
 	cfg := dramcache.DefaultConfig(4)
 	cfg.CacheBytes = 32 << 20
-	s := dramcache.NewBiModal(cfg)
-	g := trace.NewSynthetic(trace.MustProfile("soplex"), 0, 1)
-	now := int64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := g.Next()
-		now += int64(a.Gap)
-		s.Access(dramcache.Request{Addr: a.Addr, Write: a.Write}, now)
-	}
+	return schemeAccess(dramcache.NewBiModal(cfg), "soplex")
 }
 
 // biModalAccessMissHeavy stresses the miss path: a streaming, low-locality
@@ -99,164 +122,152 @@ func biModalAccess(b *testing.B) {
 // cache) makes most accesses capacity misses, exercising victim selection,
 // the eviction scratch buffer, writeback scheduling and the off-chip fetch
 // path rather than the hit fast path.
-func biModalAccessMissHeavy(b *testing.B) {
+func biModalAccessMissHeavy(testing.TB) func(int) {
 	cfg := dramcache.DefaultConfig(4)
 	cfg.CacheBytes = 8 << 20
-	s := dramcache.NewBiModal(cfg)
-	g := trace.NewSynthetic(trace.MustProfile("lbm"), 0, 1)
-	now := int64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := g.Next()
-		now += int64(a.Gap)
-		s.Access(dramcache.Request{Addr: a.Addr, Write: a.Write}, now)
-	}
+	return schemeAccess(dramcache.NewBiModal(cfg), "lbm")
 }
 
 // alloyAccess measures the baseline's access path.
-func alloyAccess(b *testing.B) {
+func alloyAccess(testing.TB) func(int) {
 	cfg := dramcache.DefaultConfig(4)
 	cfg.CacheBytes = 32 << 20
-	s := dramcache.NewAlloy(cfg)
-	g := trace.NewSynthetic(trace.MustProfile("soplex"), 0, 1)
-	now := int64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := g.Next()
-		now += int64(a.Gap)
-		s.Access(dramcache.Request{Addr: a.Addr, Write: a.Write}, now)
-	}
+	return schemeAccess(dramcache.NewAlloy(cfg), "soplex")
 }
 
 // coreCacheAccess measures the functional Bi-Modal cache alone.
-func coreCacheAccess(b *testing.B) {
+func coreCacheAccess(testing.TB) func(int) {
 	p := core.DefaultParams(32 << 20)
 	c := core.NewCache(p, core.NewWayLocator(14, p.BigBlock))
 	g := trace.NewSynthetic(trace.MustProfile("omnetpp"), 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := g.Next()
-		c.Access(a.Addr, a.Write)
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			a := g.Next()
+			c.Access(a.Addr, a.Write)
+		}
 	}
 }
 
 // wayLocatorLookup measures the SRAM locator probe.
-func wayLocatorLookup(b *testing.B) {
+func wayLocatorLookup(testing.TB) func(int) {
 	wl := core.NewWayLocator(14, 512)
 	r := xrand.New(1)
 	for i := 0; i < 10000; i++ {
 		wl.Insert(addr.Phys(r.Uint64n(1<<30))&^63, r.Bool(0.5), r.Intn(18))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wl.Lookup(addr.Phys(uint64(i)*512) & (1<<30 - 1))
+	i := uint64(0)
+	return func(n int) {
+		for end := i + uint64(n); i < end; i++ {
+			wl.Lookup(addr.Phys(i*512) & (1<<30 - 1))
+		}
 	}
 }
 
 // dramChannelAccess measures the bank timing state machine.
-func dramChannelAccess(b *testing.B) {
+func dramChannelAccess(testing.TB) func(int) {
 	ch := dram.NewChannel(dram.StackedTiming(), 1, 8)
 	r := xrand.New(2)
 	now := int64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := addr.Location{Bank: r.Intn(8), Row: r.Uint64n(4096), Column: r.Uint64n(32) * 64}
-		now += 20
-		ch.Access(dram.OpRead, l, now, 64)
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			l := addr.Location{Bank: r.Intn(8), Row: r.Uint64n(4096), Column: r.Uint64n(32) * 64}
+			now += 20
+			ch.Access(dram.OpRead, l, now, 64)
+		}
 	}
 }
 
 // memctrlRead measures a full controller read (interleave + bank).
-func memctrlRead(b *testing.B) {
+func memctrlRead(testing.TB) func(int) {
 	c := memctrl.New(memctrl.StackedConfig(2))
 	r := xrand.New(3)
 	now := int64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now += 20
-		c.Read(addr.Phys(r.Uint64n(1<<30))&^63, now, 64)
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			now += 20
+			c.Read(addr.Phys(r.Uint64n(1<<30))&^63, now, 64)
+		}
 	}
 }
 
 // traceGeneration measures synthetic stream production.
-func traceGeneration(b *testing.B) {
+func traceGeneration(testing.TB) func(int) {
 	g := trace.NewSynthetic(trace.MustProfile("mcf"), 0, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
-	}
-}
-
-// traceNextGenerator builds the generator a TraceNext case measures;
-// shared with the zero-alloc regression test so the benchmarked path and
-// the asserted path are the same object.
-func traceNextGenerator(kind string) trace.Generator {
-	switch kind {
-	case "kvstore", "webserve", "scan":
-		return trace.NewSynthetic(trace.MustProfile(kind), 0, 4)
-	case "interleave4":
-		streams := []trace.TenantStream{
-			{Prof: trace.MustProfile("kvstore"), Weight: 1},
-			{Prof: trace.MustProfile("kvstore"), Weight: 2},
-			{Prof: trace.MustProfile("webserve"), Weight: 1},
-			{Prof: trace.MustProfile("scan"), Weight: 1},
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			g.Next()
 		}
-		return trace.NewInterleaver("bench-dc4", streams, 0, 0.10, 64, 7)
 	}
-	panic("bench: unknown TraceNext generator " + kind)
 }
 
 // traceNextCase measures the per-access cost of one traffic-model
 // generator: the datacenter profiles and the tenant interleaver are on
 // every simulated access's critical path, so these track the workload
 // layer the way TraceGeneration tracks the classic SPEC profiles.
-func traceNextCase(kind string) func(b *testing.B) {
-	return func(b *testing.B) {
-		g := traceNextGenerator(kind)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.Next()
+func traceNextCase(kind string) func(testing.TB) func(int) {
+	return func(testing.TB) func(int) {
+		var g trace.Generator
+		switch kind {
+		case "interleave4":
+			streams := []trace.TenantStream{
+				{Prof: trace.MustProfile("kvstore"), Weight: 1},
+				{Prof: trace.MustProfile("kvstore"), Weight: 2},
+				{Prof: trace.MustProfile("webserve"), Weight: 1},
+				{Prof: trace.MustProfile("scan"), Weight: 1},
+			}
+			g = trace.NewInterleaver("bench-dc4", streams, 0, 0.10, 64, 7)
+		default:
+			g = trace.NewSynthetic(trace.MustProfile(kind), 0, 4)
+		}
+		return func(n int) {
+			for i := 0; i < n; i++ {
+				g.Next()
+			}
 		}
 	}
 }
 
 // endToEndMix measures a complete small multiprogrammed run via the public
 // facade.
-func endToEndMix(b *testing.B) {
+func endToEndMix(testing.TB) func(int) {
 	mix := bimodal.Workload("Q7")
 	o := bimodal.Options{AccessesPerCore: 2000, CacheDivisor: 16, Seed: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bimodal.RunBiModal(mix, o)
+	return repeat(func() { bimodal.RunBiModal(mix, o) })
+}
+
+// repeat returns the loop over op, for ops long enough that calling one
+// through a func value costs nothing measurable.
+func repeat(op func()) func(int) {
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			op()
+		}
 	}
 }
 
 // endToEndMixPooled runs the same cell as endToEndMix but draws the
-// simulator from a RunPool, varying the seed each iteration the way a
-// sweep does. After the first iteration every run is an in-place Reset of
-// the same simulator, so the delta against EndToEndMix is exactly what
-// pooling buys: construction (metadata arrays, Zipf CDFs, generators)
-// drops out and only array clears plus the access loop remain.
-func endToEndMixPooled(b *testing.B) {
+// simulator from a RunPool, varying the seed each op the way a sweep does.
+// After the first op every run is an in-place Reset of the same
+// simulator, so the delta against EndToEndMix is exactly what pooling
+// buys: construction (metadata arrays, Zipf CDFs, generators) drops out
+// and only array clears plus the access loop remain.
+func endToEndMixPooled(tb testing.TB) func(int) {
 	mix := bimodal.Workload("Q7")
 	o := bimodal.Options{AccessesPerCore: 2000, CacheDivisor: 16, Seed: 1}
 	factory := sim.BiModalFactory(mix.Cores(), o)
 	pool := sim.NewRunPool(1)
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Seed = uint64(i) + 1
+	return repeat(func() {
 		s := pool.Get("bimodal", mix, factory, o)
 		if err := s.Warmup(ctx); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := s.Measure(ctx); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		pool.Put(s)
-	}
+		o.Seed++
+	})
 }
 
 // --- warm-state checkpointing: sweep warmup amortization ---
@@ -354,23 +365,21 @@ func runSweepWarmRestore() error {
 }
 
 // sweepColdWarmup measures the pre-snapshot sweep path.
-func sweepColdWarmup(b *testing.B) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+func sweepColdWarmup(tb testing.TB) func(int) {
+	return repeat(func() {
 		if err := runSweepColdWarmup(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	}
+	})
 }
 
 // sweepWarmRestore measures the snapshot-amortized sweep path.
-func sweepWarmRestore(b *testing.B) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+func sweepWarmRestore(tb testing.TB) func(int) {
+	return repeat(func() {
 		if err := runSweepWarmRestore(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	}
+	})
 }
 
 // runSweepPooled executes a 10-seed sweep of one alloy/Q1 cell through a
@@ -398,14 +407,12 @@ func runSweepPooled(pool *sim.RunPool) error {
 }
 
 // sweepPooled measures the pooled seed-sweep path; the pool outlives the
-// benchmark loop, so iterations after the first run at steady state.
-func sweepPooled(b *testing.B) {
+// op, so every op after the first runs at steady state.
+func sweepPooled(tb testing.TB) func(int) {
 	pool := sim.NewRunPool(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return repeat(func() {
 		if err := runSweepPooled(pool); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	}
+	})
 }

@@ -27,8 +27,8 @@ type BiModal struct {
 	offchip *memctrl.Controller
 	layout  setLayout //bmlint:resetconst //bmlint:nosnapshot
 
-	wlLatency      int64 //bmlint:resetconst //bmlint:nosnapshot
-	prefetchBypass bool  //bmlint:resetconst //bmlint:nosnapshot
+	wlLatency      int64            //bmlint:resetconst //bmlint:nosnapshot
+	prefetchBypass bool             //bmlint:resetconst //bmlint:nosnapshot
 	missPred       *regionPredictor // nil unless WithMissPredictor
 	victims        *victimBuffer    // nil unless WithVictimCache
 
